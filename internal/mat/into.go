@@ -2,11 +2,11 @@ package mat
 
 import "fmt"
 
-// This file holds the allocation-free variants of the package's kernels.
-// Each *Into function writes its result into a caller-provided destination
-// so hot loops (LSTM training, GP scoring) can reuse pre-sized buffers
-// instead of allocating fresh matrices every step. Every variant computes
-// bit-identical results to its allocating counterpart.
+// This file holds the allocation-free matrix products. Each *Into function
+// writes its result into a caller-provided destination so hot loops (LSTM
+// training and inference) can reuse pre-sized buffers instead of allocating
+// fresh matrices every step. The allocating MatMul, MatMulBT and MatMulAT
+// run the same kernels.
 
 // Zero clears every element of m.
 func (m *Matrix) Zero() {
@@ -22,72 +22,54 @@ func (m *Matrix) mustShape(r, c int, op string) {
 	}
 }
 
-// AddInto writes m + other into dst (which may alias m or other).
-func (m *Matrix) AddInto(other, dst *Matrix) {
-	m.mustSameShape(other, "AddInto")
-	dst.mustShape(m.Rows, m.Cols, "AddInto")
-	for i, v := range m.Data {
-		dst.Data[i] = v + other.Data[i]
-	}
-}
+// The matrix products are register-blocked: each pass over the inner
+// dimension computes a block of outputs — up to two rows by four columns, or
+// four rows of one column where the output is narrow — with one accumulator
+// per output element, so independent sums overlap in the FPU instead of
+// forming one serial add chain, and each loaded operand feeds several
+// outputs. The blocking never changes the arithmetic: every output element
+// starts from zero and adds its products in k-ascending order exactly as the
+// scalar loop does, skipping the same zero left-operand entries, so results
+// are bit-identical to the unblocked kernels. Do not reassociate, split sums
+// or use math.FMA here; trained weights, forecasts and BO histories depend on
+// these exact bits.
 
-// HadamardInto writes the elementwise product m ⊙ other into dst (which may
-// alias m or other).
-func (m *Matrix) HadamardInto(other, dst *Matrix) {
-	m.mustSameShape(other, "HadamardInto")
-	dst.mustShape(m.Rows, m.Cols, "HadamardInto")
-	for i, v := range m.Data {
-		dst.Data[i] = v * other.Data[i]
-	}
-}
-
-// ApplyInto writes f applied to every element of m into dst (which may
-// alias m).
-func (m *Matrix) ApplyInto(f func(float64) float64, dst *Matrix) {
-	dst.mustShape(m.Rows, m.Cols, "ApplyInto")
-	for i, v := range m.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// MatMulInto computes a×b into dst, zeroing dst first. dst must not alias a
-// or b. Like MatMul, large products are computed in parallel row blocks.
+// MatMulInto computes a×b into dst, overwriting it. dst must not alias a or
+// b. Like MatMul, large products are computed in parallel row blocks.
 func MatMulInto(a, b, dst *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulInto inner dims: %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.mustShape(a.Rows, b.Cols, "MatMulInto")
-	dst.Zero()
 	matMulDispatch(a, b, dst)
 }
 
-// MatMulBTInto computes a×bᵀ into dst without materializing the transpose.
-// dst must not alias a or b.
+// MatMulBTInto computes a×bᵀ into dst without materializing the transpose:
+// dst(i,j) = aᵢ·bⱼ summed k-ascending from zero. dst must not alias a or b.
 func MatMulBTInto(a, b, dst *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulBTInto inner dims: %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.mustShape(a.Rows, b.Rows, "MatMulBTInto")
+	n, m := a.Cols, b.Rows
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
+		arow := a.Data[i*n : (i+1)*n]
+		orow := dst.Data[i*m : (i+1)*m]
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			o := orow[j : j+4]
+			o[0], o[1], o[2], o[3] = dot4(arow, b.Data[j*n:(j+4)*n])
+		}
+		for ; j < m; j++ {
+			orow[j] = dot(arow, b.Data[j*n:(j+1)*n])
 		}
 	}
 }
 
 // MatMulBT2BiasInto computes a1×b1ᵀ + a2×b2ᵀ + rowwise bias into dst in a
-// single pass: dst(i,j) = (a1ᵢ·b1ⱼ + a2ᵢ·b2ⱼ) + bias[j]. It fuses the
-// three-kernel sequence MatMulBTInto / MatMulBTInto / AddInPlace+bias the
-// LSTM gate pre-activation needs, with the same per-element addition order,
-// so results are bit-identical to the unfused sequence while touching dst
-// once instead of three times. dst must not alias any operand.
+// single pass: dst(i,j) = (a1ᵢ·b1ⱼ + a2ᵢ·b2ⱼ) + bias[j], with each dot product
+// summed k-ascending from zero. It is the LSTM gate pre-activation
+// x·Wxᵀ + h·Whᵀ + b. dst must not alias any operand.
 func MatMulBT2BiasInto(a1, b1, a2, b2 *Matrix, bias []float64, dst *Matrix) {
 	if a1.Cols != b1.Cols {
 		panic(fmt.Sprintf("mat: MatMulBT2BiasInto inner dims: %dx%d × (%dx%d)ᵀ", a1.Rows, a1.Cols, b1.Rows, b1.Cols))
@@ -102,45 +84,144 @@ func MatMulBT2BiasInto(a1, b1, a2, b2 *Matrix, bias []float64, dst *Matrix) {
 		panic(fmt.Sprintf("mat: MatMulBT2BiasInto bias length %d, want %d", len(bias), b1.Rows))
 	}
 	dst.mustShape(a1.Rows, b1.Rows, "MatMulBT2BiasInto")
+	n1, n2, m := a1.Cols, a2.Cols, b1.Rows
 	for i := 0; i < a1.Rows; i++ {
-		a1row := a1.Data[i*a1.Cols : (i+1)*a1.Cols]
-		a2row := a2.Data[i*a2.Cols : (i+1)*a2.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b1.Rows; j++ {
-			b1row := b1.Data[j*b1.Cols : (j+1)*b1.Cols]
-			s1 := 0.0
-			for k, av := range a1row {
-				s1 += av * b1row[k]
-			}
-			b2row := b2.Data[j*b2.Cols : (j+1)*b2.Cols]
-			s2 := 0.0
-			for k, av := range a2row {
-				s2 += av * b2row[k]
-			}
-			orow[j] = (s1 + s2) + bias[j]
+		a1row := a1.Data[i*n1 : (i+1)*n1]
+		a2row := a2.Data[i*n2 : (i+1)*n2]
+		orow := dst.Data[i*m : (i+1)*m]
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			p0, p1, p2, p3 := dot4(a1row, b1.Data[j*n1:(j+4)*n1])
+			q0, q1, q2, q3 := dot4(a2row, b2.Data[j*n2:(j+4)*n2])
+			o := orow[j : j+4]
+			bs := bias[j : j+4]
+			o[0] = (p0 + q0) + bs[0]
+			o[1] = (p1 + q1) + bs[1]
+			o[2] = (p2 + q2) + bs[2]
+			o[3] = (p3 + q3) + bs[3]
+		}
+		for ; j < m; j++ {
+			orow[j] = (dot(a1row, b1.Data[j*n1:(j+1)*n1]) + dot(a2row, b2.Data[j*n2:(j+1)*n2])) + bias[j]
 		}
 	}
 }
 
-// MatMulATInto computes aᵀ×b into dst, zeroing dst first. dst must not
+// dot4 returns the dot products of a with the four consecutive len(a)-long
+// rows packed in b, each summed k-ascending from zero.
+func dot4(a, b []float64) (s0, s1, s2, s3 float64) {
+	n := len(a)
+	b0, b1, b2, b3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
+	for k, av := range a {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	return
+}
+
+// dot returns a·b summed k-ascending from zero.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for k, av := range a {
+		s += av * b[k]
+	}
+	return s
+}
+
+// MatMulATInto computes aᵀ×b into dst: dst(i,j) = Σₖ a(k,i)·b(k,j), summed
+// k-ascending from zero and skipping the terms where a(k,i) == 0. dst must not
 // alias a or b.
 func MatMulATInto(a, b, dst *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulATInto inner dims: (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.mustShape(a.Cols, b.Cols, "MatMulATInto")
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	mulRows(a.Data, 1, a.Cols, b, dst, 0, a.Cols)
+}
+
+// mulRows writes rows [lo, hi) of out = A×b, reading A through strides,
+// A(i,k) = ad[i*rs + k*ks], so one kernel serves a×b (rs = a.Cols, ks = 1)
+// and aᵀ×b (rs = 1, ks = a.Cols): out(i,j) = Σₖ A(i,k)·b(k,j), summed
+// k-ascending from zero and skipping the terms where A(i,k) == 0.
+func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
+	N := b.Cols
+	bd, od := b.Data[:b.Rows*N], out.Data
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		for j := 0; j+4 <= N; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
+				br := bd[kb : kb+4]
+				if av := ad[ka]; av != 0 {
+					s00 += av * br[0]
+					s01 += av * br[1]
+					s02 += av * br[2]
+					s03 += av * br[3]
+				}
+				if av := ad[ka+rs]; av != 0 {
+					s10 += av * br[0]
+					s11 += av * br[1]
+					s12 += av * br[2]
+					s13 += av * br[3]
+				}
 			}
-			orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			o := od[i*N+j : i*N+j+4]
+			o[0], o[1], o[2], o[3] = s00, s01, s02, s03
+			o = od[(i+1)*N+j : (i+1)*N+j+4]
+			o[0], o[1], o[2], o[3] = s10, s11, s12, s13
+		}
+	}
+	if i < hi { // odd row left over
+		for j := 0; j+4 <= N; j += 4 {
+			var s0, s1, s2, s3 float64
+			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
+				av := ad[ka]
+				if av == 0 {
+					continue
+				}
+				br := bd[kb : kb+4]
+				s0 += av * br[0]
+				s1 += av * br[1]
+				s2 += av * br[2]
+				s3 += av * br[3]
 			}
+			o := od[i*N+j : i*N+j+4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+	}
+	// Columns left over after the four-wide blocks: block four rows of one
+	// column instead (the LSTM's layer-0 input gradient is one column wide).
+	for j := N - N%4; j < N; j++ {
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			var s0, s1, s2, s3 float64
+			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
+				bv := bd[kb]
+				if av := ad[ka]; av != 0 {
+					s0 += av * bv
+				}
+				if av := ad[ka+rs]; av != 0 {
+					s1 += av * bv
+				}
+				if av := ad[ka+2*rs]; av != 0 {
+					s2 += av * bv
+				}
+				if av := ad[ka+3*rs]; av != 0 {
+					s3 += av * bv
+				}
+			}
+			od[i*N+j], od[(i+1)*N+j], od[(i+2)*N+j], od[(i+3)*N+j] = s0, s1, s2, s3
+		}
+		for ; i < hi; i++ {
+			s := 0.0
+			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
+				if av := ad[ka]; av != 0 {
+					s += av * bd[kb]
+				}
+			}
+			od[i*N+j] = s
 		}
 	}
 }

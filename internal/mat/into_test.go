@@ -7,7 +7,169 @@ import (
 	"testing/quick"
 )
 
-// Property: every *Into variant matches its allocating counterpart exactly
+// Scalar reference kernels: the unblocked loops the register-blocked kernels
+// replaced, kept here as the definition of the exact floating-point operation
+// sequence every output element must see.
+
+func refMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		orow := out.Row(i)
+		for k, aik := range a.Row(i) {
+			if aik == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				orow[j] += aik * bv
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulAT(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	for k := 0; k < a.Rows; k++ {
+		brow := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			orow := out.Row(i)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+func refDot(a, b []float64) float64 {
+	s := 0.0
+	for k, av := range a {
+		s += av * b[k]
+	}
+	return s
+}
+
+func refMatMulBT(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, refDot(a.Row(i), b.Row(j)))
+		}
+	}
+	return out
+}
+
+func refMatMulBT2Bias(a1, b1, a2, b2 *Matrix, bias []float64) *Matrix {
+	out := New(a1.Rows, b1.Rows)
+	for i := 0; i < a1.Rows; i++ {
+		for j := 0; j < b1.Rows; j++ {
+			out.Set(i, j, (refDot(a1.Row(i), b1.Row(j))+refDot(a2.Row(i), b2.Row(j)))+bias[j])
+		}
+	}
+	return out
+}
+
+// sparseMatrix is a random matrix with about a quarter of its entries exact
+// zeros, so the kernels' zero-skip paths run.
+func sparseMatrix(rng *rand.Rand, r, c int) *Matrix {
+	m := randomMatrix(rng, r, c)
+	for i := range m.Data {
+		if rng.Intn(4) == 0 {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
+// withInfs returns a copy of m with a few entries set to ±Inf. A kernel that
+// dropped the zero skip would turn 0·Inf into NaN where the reference does
+// not, so the skip becomes observable in the output bits.
+func withInfs(rng *rand.Rand, m *Matrix) *Matrix {
+	out := m.Clone()
+	for n := 1 + len(out.Data)/8; n > 0; n-- {
+		out.Data[rng.Intn(len(out.Data))] = math.Inf(1 - 2*rng.Intn(2))
+	}
+	return out
+}
+
+func nanMatrix(r, c int) *Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = math.NaN()
+	}
+	return m
+}
+
+// firstBitDiff returns the index of the first element whose bits differ, or
+// -1 when got and want are bit-identical.
+func firstBitDiff(got, want *Matrix) int {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return 0
+	}
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestBlockedKernelsMatchScalarReference pins every register-blocked kernel
+// to its scalar reference bit for bit, over output widths 1–37 (every
+// remainder of the block width) and output row counts 1–65 (every remainder
+// of the row blocking), with exact zeros in the left operand, ±Inf in the
+// right operand on half the shapes, and NaN pre-filled destinations that the
+// kernels must fully overwrite.
+func TestBlockedKernelsMatchScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	check := func(name string, rows, width int, got, want *Matrix) {
+		t.Helper()
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("%s rows=%d width=%d: element %d = %v, reference %v",
+				name, rows, width, i, got.Data[i], want.Data[i])
+		}
+	}
+	for rows := 1; rows <= 65; rows++ {
+		for width := 1; width <= 37; width++ {
+			n := 1 + (rows+width)%7 // inner dimension
+			infs := (rows+width)%2 == 0
+			right := func(r, c int) *Matrix {
+				m := randomMatrix(rng, r, c)
+				if infs {
+					m = withInfs(rng, m)
+				}
+				return m
+			}
+
+			a, b := sparseMatrix(rng, rows, n), right(n, width)
+			got := nanMatrix(rows, width)
+			MatMulInto(a, b, got)
+			check("MatMulInto", rows, width, got, refMatMul(a, b))
+
+			at, bt := sparseMatrix(rng, n, rows), right(n, width)
+			got = nanMatrix(rows, width)
+			MatMulATInto(at, bt, got)
+			check("MatMulATInto", rows, width, got, refMatMulAT(at, bt))
+
+			w := right(width, n)
+			got = nanMatrix(rows, width)
+			MatMulBTInto(a, w, got)
+			check("MatMulBTInto", rows, width, got, refMatMulBT(a, w))
+
+			n2 := 1 + (rows*width)%5
+			a2, w2 := sparseMatrix(rng, rows, n2), right(width, n2)
+			bias := randomMatrix(rng, 1, width).Data
+			got = nanMatrix(rows, width)
+			MatMulBT2BiasInto(a, w, a2, w2, bias, got)
+			check("MatMulBT2BiasInto", rows, width, got, refMatMulBT2Bias(a, w, a2, w2, bias))
+		}
+	}
+}
+
+// Property: every *Into product matches its allocating counterpart exactly
 // (bit-identical, not just within tolerance) on random shapes.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	f := func(seed int64) bool {
@@ -18,101 +180,58 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		a := randomMatrix(rng, r, n)
 		b := randomMatrix(rng, n, c)
 
-		mm := New(r, c)
-		// Pre-fill the destination with garbage: Into must fully overwrite.
-		for i := range mm.Data {
-			mm.Data[i] = math.NaN()
-		}
+		mm := nanMatrix(r, c)
 		MatMulInto(a, b, mm)
-		if !matsAlmostEqual(mm, MatMul(a, b), 0) {
+		if firstBitDiff(mm, MatMul(a, b)) >= 0 {
 			return false
 		}
 
 		bt := randomMatrix(rng, c, n)
-		mbt := New(r, c)
+		mbt := nanMatrix(r, c)
 		MatMulBTInto(a, bt, mbt)
-		if !matsAlmostEqual(mbt, MatMulBT(a, bt), 0) {
+		if firstBitDiff(mbt, MatMulBT(a, bt)) >= 0 {
 			return false
 		}
 
 		at := randomMatrix(rng, r, c)
-		mat := New(n, c)
+		mat := nanMatrix(n, c)
 		MatMulATInto(a, at, mat)
-		if !matsAlmostEqual(mat, MatMulAT(a, at), 0) {
-			return false
-		}
-
-		x := randomMatrix(rng, r, c)
-		y := randomMatrix(rng, r, c)
-		dst := New(r, c)
-		x.AddInto(y, dst)
-		if !matsAlmostEqual(dst, x.Add(y), 0) {
-			return false
-		}
-		x.HadamardInto(y, dst)
-		if !matsAlmostEqual(dst, x.Hadamard(y), 0) {
-			return false
-		}
-		x.ApplyInto(math.Tanh, dst)
-		if !matsAlmostEqual(dst, x.Apply(math.Tanh), 0) {
-			return false
-		}
-		return true
+		return firstBitDiff(mat, MatMulAT(a, at)) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The elementwise Into variants allow aliasing the destination with an
-// operand.
-func TestIntoVariantsAllowAliasing(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := randomMatrix(rng, 3, 4)
-	y := randomMatrix(rng, 3, 4)
-	want := x.Add(y)
-	x2 := x.Clone()
-	x2.AddInto(y, x2)
-	if !matsAlmostEqual(x2, want, 0) {
-		t.Fatal("AddInto with aliased dst diverged")
-	}
-	want = x.Hadamard(y)
-	x2 = x.Clone()
-	x2.HadamardInto(y, x2)
-	if !matsAlmostEqual(x2, want, 0) {
-		t.Fatal("HadamardInto with aliased dst diverged")
-	}
-}
-
 // MatMulInto must fan out to the parallel path on large operands and still
-// match the serial result.
+// match the scalar reference bit for bit.
 func TestMatMulIntoParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := randomMatrix(rng, 96, 96)
-	b := randomMatrix(rng, 96, 96)
-	if 96*96*96 < parallelThreshold {
+	a := sparseMatrix(rng, 97, 96)
+	b := randomMatrix(rng, 96, 95)
+	if 97*96*95 < parallelThreshold {
 		t.Fatal("operands too small to exercise the parallel path")
 	}
-	got := New(96, 96)
+	got := nanMatrix(97, 95)
 	MatMulInto(a, b, got)
-	want := New(96, 96)
-	matMulRange(a, b, want, 0, 96)
-	if !matsAlmostEqual(got, want, 0) {
-		t.Fatal("parallel MatMulInto diverged from serial reference")
+	if i := firstBitDiff(got, refMatMul(a, b)); i >= 0 {
+		t.Fatalf("parallel MatMulInto diverged from the scalar reference at element %d", i)
 	}
 }
 
 func TestIntoShapePanics(t *testing.T) {
 	a := New(2, 3)
 	b := New(3, 2)
+	bias := make([]float64, 2)
 	for name, fn := range map[string]func(){
-		"MatMulInto-dst":   func() { MatMulInto(a, b, New(3, 3)) },
-		"MatMulInto-inner": func() { MatMulInto(a, New(2, 2), New(2, 2)) },
-		"MatMulBTInto":     func() { MatMulBTInto(a, New(2, 2), New(2, 2)) },
-		"MatMulATInto":     func() { MatMulATInto(a, New(3, 2), New(3, 2)) },
-		"AddInto":          func() { a.AddInto(New(2, 3), New(3, 3)) },
-		"HadamardInto":     func() { a.HadamardInto(New(3, 3), New(2, 3)) },
-		"ApplyInto":        func() { a.ApplyInto(math.Abs, New(3, 2)) },
+		"MatMulInto-dst":          func() { MatMulInto(a, b, New(3, 3)) },
+		"MatMulInto-inner":        func() { MatMulInto(a, New(2, 2), New(2, 2)) },
+		"MatMulBTInto":            func() { MatMulBTInto(a, New(2, 2), New(2, 2)) },
+		"MatMulATInto":            func() { MatMulATInto(a, New(3, 2), New(3, 2)) },
+		"MatMulBT2BiasInto-inner": func() { MatMulBT2BiasInto(a, New(2, 2), a, New(2, 3), bias, New(2, 2)) },
+		"MatMulBT2BiasInto-outer": func() { MatMulBT2BiasInto(a, New(2, 3), a, New(3, 3), bias, New(2, 2)) },
+		"MatMulBT2BiasInto-bias":  func() { MatMulBT2BiasInto(a, New(2, 3), a, New(2, 3), nil, New(2, 2)) },
+		"MatMulBT2BiasInto-dst":   func() { MatMulBT2BiasInto(a, New(2, 3), a, New(2, 3), bias, New(3, 2)) },
 	} {
 		func() {
 			defer func() {

@@ -164,9 +164,8 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulDispatch accumulates a×b into the (already zeroed) out, fanning out
-// across GOMAXPROCS workers when the product is large enough to amortize
-// goroutine overhead.
+// matMulDispatch writes a×b into out, fanning out across GOMAXPROCS workers
+// when the product is large enough to amortize goroutine overhead.
 func matMulDispatch(a, b, out *Matrix) {
 	flops := a.Rows * a.Cols * b.Cols
 	if flops < parallelThreshold || a.Rows == 1 {
@@ -197,24 +196,10 @@ func matMulDispatch(a, b, out *Matrix) {
 	wg.Wait()
 }
 
-// matMulRange computes rows [lo, hi) of out = a×b using an ikj loop order
-// that streams through b row-by-row for cache friendliness.
+// matMulRange writes rows [lo, hi) of out = a×b with the blocked kernel
+// shared with MatMulATInto (see into.go).
 func matMulRange(a, b, out *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*p : (i+1)*p]
-		for k := 0; k < n; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*p : (k+1)*p]
-			for j, bv := range brow {
-				orow[j] += aik * bv
-			}
-		}
-	}
+	mulRows(a.Data, a.Cols, 1, b, out, lo, hi)
 }
 
 // MatMulBT returns a×bᵀ without materializing the transpose: out(i,j) is
@@ -223,22 +208,8 @@ func matMulRange(a, b, out *Matrix, lo, hi int) {
 // right-hand operand is stored transposed (e.g. weight matrices applied to
 // activation rows).
 func MatMulBT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MatMulBT inner dims: %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
+	MatMulBTInto(a, b, out)
 	return out
 }
 
@@ -246,23 +217,8 @@ func MatMulBT(a, b *Matrix) *Matrix {
 // out(i,j) = Σ_k a(k,i)·b(k,j). Used for gradient accumulation
 // (activationsᵀ × deltas).
 func MatMulAT(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: MatMulAT inner dims: (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	MatMulATInto(a, b, out)
 	return out
 }
 

@@ -1,0 +1,69 @@
+package nn
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// Micro-benchmarks at the shapes the serving fleets and BO candidate builds
+// actually run (the root BenchmarkLSTMInference uses H64/L3/T128, which no
+// workload does). Compare kernels with paired runs of test binaries built
+// from each tree:
+//
+//	go test -c -o nn.test ./internal/nn
+//	./nn.test -test.run '^$' -test.bench 'Shape' -test.count 6
+
+var (
+	benchSinkF float64
+	benchSinkE error
+)
+
+func benchNet(b *testing.B, hidden, layers int) *LSTM {
+	b.Helper()
+	m, err := NewLSTM(Config{InputSize: 1, HiddenSize: hidden, Layers: layers, OutputSize: 1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+func benchPredict(b *testing.B, hidden, layers, T int) {
+	m := benchNet(b, hidden, layers)
+	hist := randHistories(rand.New(rand.NewSource(2)), 1, T)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkF, benchSinkE = m.Predict(hist)
+	}
+}
+
+// BenchmarkShapePredictH16L2T24 is a single-history forecast at the
+// autoscale-poll fleet's model shape.
+func BenchmarkShapePredictH16L2T24(b *testing.B) { benchPredict(b, 16, 2, 24) }
+
+// BenchmarkShapePredictH8L1T12 is a single-history forecast at the smaller
+// fleet shape.
+func BenchmarkShapePredictH8L1T12(b *testing.B) { benchPredict(b, 8, 1, 12) }
+
+// BenchmarkShapeTrainStepH16L2T24B32 is one mini-batch training step
+// (forward, BPTT, clip, Adam) at batch size 32.
+func BenchmarkShapeTrainStepH16L2T24B32(b *testing.B) {
+	const bsz, T = 32, 24
+	m := benchNet(b, 16, 2)
+	rng := rand.New(rand.NewSource(3))
+	inputs := randHistories(rng, bsz, T)
+	targets := make([]float64, bsz)
+	batch := make([]int, bsz)
+	for i := range targets {
+		targets[i] = rng.Float64()
+		batch[i] = i
+	}
+	tc := DefaultTrainConfig()
+	opt := NewAdam(tc.LearningRate)
+	params := m.Params()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkF, benchSinkE = m.trainBatch(inputs, targets, batch, opt, params, tc.ClipNorm, tc.Loss)
+	}
+}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"sync"
 
 	"loaddynamics/internal/mat"
@@ -16,22 +15,20 @@ import (
 // allocation-free in steady state. Results are bit-identical to
 // packInputs+forward: every element's value depends only on the same layer's
 // previous-timestep state and the layer below's same-timestep output, and
-// both traversal orders execute the identical floating-point op sequence per
-// element.
+// both traversal orders run the same cell step (layer.cellStep), so they
+// execute the identical floating-point op sequence per element.
 
 // inferWorkspace is the scratch state for one streaming forward pass at a
-// fixed batch size. The gate matrices (z, i, f, o, g, tanhC) are shared
-// across layers because each layer fully consumes them within its own step;
-// only h and c persist across timesteps and are therefore per-layer.
+// fixed batch size. The gate scratch is shared across layers because each
+// layer fully consumes it within its own step; only h and c persist across
+// timesteps and are therefore per-layer.
 type inferWorkspace struct {
 	bsz int
 
-	x          *mat.Matrix   // (bsz × InputSize) current-timestep input
-	z          *mat.Matrix   // (bsz × 4H) gate pre-activations
-	i, f, o, g *mat.Matrix   // (bsz × H) gate activations
-	tanhC      *mat.Matrix   // (bsz × H)
-	h, c       []*mat.Matrix // per-layer running state, (bsz × H)
-	pred       *mat.Matrix   // (bsz × OutputSize)
+	x     *mat.Matrix   // (bsz × InputSize) current-timestep input
+	gates *mat.Matrix   // (bsz × 4H) gate scratch
+	h, c  []*mat.Matrix // per-layer running state, (bsz × H)
+	pred  *mat.Matrix   // (bsz × OutputSize)
 }
 
 // newInferWorkspace allocates the streaming-inference scratch for a batch of
@@ -41,12 +38,7 @@ func newInferWorkspace(cfg Config, layers, bsz int) *inferWorkspace {
 	ws := &inferWorkspace{
 		bsz:   bsz,
 		x:     mat.New(bsz, cfg.InputSize),
-		z:     mat.New(bsz, 4*hh),
-		i:     mat.New(bsz, hh),
-		f:     mat.New(bsz, hh),
-		o:     mat.New(bsz, hh),
-		g:     mat.New(bsz, hh),
-		tanhC: mat.New(bsz, hh),
+		gates: mat.New(bsz, 4*hh),
 		pred:  mat.New(bsz, cfg.OutputSize),
 		h:     make([]*mat.Matrix, layers),
 		c:     make([]*mat.Matrix, layers),
@@ -100,29 +92,12 @@ func (m *LSTM) putInferWS(ws *inferWorkspace) {
 }
 
 // inferStep advances every layer one timestep. ws.x must already hold the
-// timestep's input; ws.h/ws.c carry the running state. The arithmetic matches
-// forwardWS element for element: fused gate pre-activation (x·Wxᵀ + h·Whᵀ +
-// bias in that addition order), sigmoid/sigmoid/sigmoid/tanh gates, then
-// c = f⊙c + i⊙g and h = o ⊙ tanh(c).
+// timestep's input; ws.h/ws.c carry the running state, which the shared cell
+// step (layer.cellStep) updates in place.
 func (m *LSTM) inferStep(ws *inferWorkspace) {
-	hh := m.Cfg.HiddenSize
 	in := ws.x
 	for l, ly := range m.layers {
-		mat.MatMulBT2BiasInto(in, ly.Wx.W, ws.h[l], ly.Wh.W, ly.B.W.Data, ws.z)
-		splitGatesInto(ws.z, hh, ws.i, ws.f, ws.o, ws.g)
-		applySigmoid(ws.i)
-		applySigmoid(ws.f)
-		applySigmoid(ws.o)
-		applyTanh(ws.g)
-		// c_t = f ⊙ c_{t−1} + i ⊙ g, updated in place: element k only reads
-		// its own previous value, so the same multiply-multiply-add order as
-		// forwardWS holds.
-		cd, fd, id, gd := ws.c[l].Data, ws.f.Data, ws.i.Data, ws.g.Data
-		for k := range cd {
-			cd[k] = fd[k]*cd[k] + id[k]*gd[k]
-		}
-		ws.c[l].ApplyInto(math.Tanh, ws.tanhC)
-		ws.o.HadamardInto(ws.tanhC, ws.h[l])
+		ly.cellStep(in, ws.h[l], ws.c[l], ws.gates, ws.c[l], nil, ws.h[l])
 		in = ws.h[l]
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -121,6 +122,22 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if err := m.PredictBatchInto([][]float64{{1, 2}}, make([]float64, 2)); err == nil {
 		t.Fatal("mis-sized out should fail")
+	}
+}
+
+// Predict rejects a multivariate config with an error that names Predict
+// (it never goes through packInputs).
+func TestPredictMultivariateErrorNamesPredict(t *testing.T) {
+	m, err := NewLSTM(Config{InputSize: 2, HiddenSize: 3, Layers: 1, OutputSize: 1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Predict([]float64{1, 2})
+	if err == nil {
+		t.Fatal("Predict on a multivariate config should fail")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "Predict") || strings.Contains(msg, "packInputs") {
+		t.Fatalf("error %q should name Predict, not packInputs", msg)
 	}
 }
 

@@ -115,10 +115,47 @@ func (m *LSTM) NumParams() int {
 	return n
 }
 
-// layerState caches one layer's forward activations for BPTT.
+// layerState caches one layer's forward activations for BPTT. gates[t] holds
+// the activated gates packed [i | f | o | g] per row, in the same layout as
+// the layer's weight rows.
 type layerState struct {
-	x, i, f, o, g, c, tanhC, h []*mat.Matrix // one (B × ·) matrix per timestep
+	x, gates, c, tanhC, h []*mat.Matrix // one (B × ·) matrix per timestep
 }
+
+// cellStep advances the layer one timestep for every row of the batch. The
+// gate pre-activations x·Wxᵀ + hPrev·Whᵀ + b are written to gates; one pass
+// per row then activates them in place (σ for i, f, o and tanh for g) and
+// writes c = f⊙cPrev + i⊙g, h = o⊙tanh(c), and tanh(c) into tanhC unless it
+// is nil. Training passes its per-timestep BPTT caches as the destinations;
+// inference passes scratch and its running state, so c may alias cPrev and h
+// may alias hPrev: each c element reads only its own previous value, and
+// hPrev is fully consumed by the gate product before h is written.
+func (ly *layer) cellStep(x, hPrev, cPrev, gates, c, tanhC, h *mat.Matrix) {
+	mat.MatMulBT2BiasInto(x, ly.Wx.W, hPrev, ly.Wh.W, ly.B.W.Data, gates)
+	hh := c.Cols
+	for r := 0; r < gates.Rows; r++ {
+		gr := gates.Row(r)
+		ig, fg, og, gg := gr[:hh], gr[hh:2*hh], gr[2*hh:3*hh], gr[3*hh:4*hh]
+		cp, cr, hr := cPrev.Row(r)[:hh], c.Row(r)[:hh], h.Row(r)[:hh]
+		var tr []float64
+		if tanhC != nil {
+			tr = tanhC.Row(r)[:hh]
+		}
+		for k := range cr {
+			iv, fv, ov, gv := sigmoid(ig[k]), sigmoid(fg[k]), sigmoid(og[k]), math.Tanh(gg[k])
+			ig[k], fg[k], og[k], gg[k] = iv, fv, ov, gv
+			cv := fv*cp[k] + iv*gv
+			tc := math.Tanh(cv)
+			cr[k] = cv
+			hr[k] = ov * tc
+			if tr != nil {
+				tr[k] = tc
+			}
+		}
+	}
+}
+
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // forward runs the network over a batch of sequences. xs[t] is the (B × D)
 // input at timestep t. It returns the (B × OutputSize) predictions and the
@@ -129,36 +166,15 @@ func (m *LSTM) forward(xs []*mat.Matrix) (*mat.Matrix, []*layerState) {
 }
 
 // forwardWS is forward writing every activation into ws's pre-sized buffers.
-// The arithmetic (op kinds and order) is exactly the allocating version's, so
-// results are bit-identical.
 func (m *LSTM) forwardWS(xs []*mat.Matrix, ws *workspace) (*mat.Matrix, []*layerState) {
-	h := m.Cfg.HiddenSize
 	cur := xs
 	for l, ly := range m.layers {
 		st := ws.states[l]
 		st.x = cur
 		hPrev, cPrev := ws.zeros, ws.zeros
 		for t := range cur {
-			mat.MatMulBTInto(cur[t], ly.Wx.W, ws.z)
-			mat.MatMulBTInto(hPrev, ly.Wh.W, ws.zTmp)
-			ws.z.AddInPlace(ws.zTmp)
-			addRowBias(ws.z, ly.B.W.Data)
-			it, ft, ot, gt := st.i[t], st.f[t], st.o[t], st.g[t]
-			splitGatesInto(ws.z, h, it, ft, ot, gt)
-			applySigmoid(it)
-			applySigmoid(ft)
-			applySigmoid(ot)
-			applyTanh(gt)
-			// c_t = f ⊙ c_{t−1} + i ⊙ g, fused but in the same per-element
-			// multiply-multiply-add order as Hadamard/Hadamard/Add.
-			ct := st.c[t]
-			fd, cd, id, gd := ft.Data, cPrev.Data, it.Data, gt.Data
-			for k := range ct.Data {
-				ct.Data[k] = fd[k]*cd[k] + id[k]*gd[k]
-			}
-			ct.ApplyInto(math.Tanh, st.tanhC[t])
-			ot.HadamardInto(st.tanhC[t], st.h[t])
-			hPrev, cPrev = st.h[t], ct
+			ly.cellStep(cur[t], hPrev, cPrev, st.gates[t], st.c[t], st.tanhC[t], st.h[t])
+			hPrev, cPrev = st.h[t], st.c[t]
 		}
 		cur = st.h
 	}
@@ -203,36 +219,32 @@ func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace
 		ws.dhCarry.Zero()
 		ws.dcCarry.Zero()
 		for t := T - 1; t >= 0; t-- {
-			dhSeq[t].AddInto(ws.dhCarry, ws.dh)
-			ws.dh.HadamardInto(st.tanhC[t], ws.dO)
-			// dc = dcCarry + dh ⊙ o ⊙ (1 − tanh²(c))
-			dcD, ccD, dhD, oD, tcD := ws.dc.Data, ws.dcCarry.Data, ws.dh.Data, st.o[t].Data, st.tanhC[t].Data
-			for k := range dcD {
-				tc := tcD[k]
-				dcD[k] = ccD[k] + dhD[k]*oD[k]*(1-tc*tc)
-			}
-			ws.dc.HadamardInto(st.g[t], ws.di)
-			ws.dc.HadamardInto(st.i[t], ws.dg)
 			cPrev := ws.zeros
 			if t > 0 {
 				cPrev = st.c[t-1]
 			}
-			ws.dc.HadamardInto(cPrev, ws.df)
-			ws.dc.HadamardInto(st.f[t], ws.dcCarry)
-
-			// Through the gate nonlinearities into pre-activations.
+			// Back through h = o⊙tanh(c), c = f⊙cPrev + i⊙g and the gate
+			// nonlinearities into the pre-activations dz, one pass per row:
+			//   dh = dhExt + dhCarry
+			//   dc = dcCarry + dh⊙o⊙(1 − tanh²(c)),  dcCarry ← dc⊙f
+			//   dz = [dc⊙g⊙σ'(i) | dc⊙cPrev⊙σ'(f) | dh⊙tanh(c)⊙σ'(o) | dc⊙i⊙tanh'(g)]
 			dz := ws.dz
 			for r := 0; r < bsz; r++ {
-				zr := dz.Row(r)
-				for k := 0; k < h; k++ {
-					iv := st.i[t].At(r, k)
-					fv := st.f[t].At(r, k)
-					ov := st.o[t].At(r, k)
-					gv := st.g[t].At(r, k)
-					zr[k] = ws.di.At(r, k) * iv * (1 - iv)
-					zr[h+k] = ws.df.At(r, k) * fv * (1 - fv)
-					zr[2*h+k] = ws.dO.At(r, k) * ov * (1 - ov)
-					zr[3*h+k] = ws.dg.At(r, k) * (1 - gv*gv)
+				gr, zr := st.gates[t].Row(r), dz.Row(r)
+				ig, fg, og, gg := gr[:h], gr[h:2*h], gr[2*h:3*h], gr[3*h:4*h]
+				dzi, dzf, dzo, dzg := zr[:h], zr[h:2*h], zr[2*h:3*h], zr[3*h:4*h]
+				dhExt, dhc, dcc := dhSeq[t].Row(r)[:h], ws.dhCarry.Row(r)[:h], ws.dcCarry.Row(r)[:h]
+				tcr, cp := st.tanhC[t].Row(r)[:h], cPrev.Row(r)[:h]
+				for k := range dzi {
+					iv, fv, ov, gv, tc := ig[k], fg[k], og[k], gg[k], tcr[k]
+					dh := dhExt[k] + dhc[k]
+					dc := dcc[k] + dh*ov*(1-tc*tc)
+					dcc[k] = dc * fv
+					di, df, dO, dg := dc*gv, dc*cp[k], dh*tc, dc*iv
+					dzi[k] = di * iv * (1 - iv)
+					dzf[k] = df * fv * (1 - fv)
+					dzo[k] = dO * ov * (1 - ov)
+					dzg[k] = dg * (1 - gv*gv)
 				}
 			}
 
@@ -297,7 +309,7 @@ func (m *LSTM) PredictBatchInto(histories [][]float64, out []float64) error {
 // dedicated single-history pool.
 func (m *LSTM) Predict(history []float64) (float64, error) {
 	if m.Cfg.InputSize != 1 {
-		return 0, fmt.Errorf("nn: packInputs supports univariate input, config has InputSize=%d", m.Cfg.InputSize)
+		return 0, fmt.Errorf("nn: Predict supports univariate input, config has InputSize=%d", m.Cfg.InputSize)
 	}
 	if len(history) == 0 {
 		return 0, fmt.Errorf("nn: empty history")
@@ -358,18 +370,6 @@ func packInputsInto(histories [][]float64, xs []*mat.Matrix) {
 	}
 }
 
-// splitGatesInto copies the four packed gate blocks of z into pre-sized
-// (B × h) matrices.
-func splitGatesInto(z *mat.Matrix, h int, i, f, o, g *mat.Matrix) {
-	for r := 0; r < z.Rows; r++ {
-		row := z.Row(r)
-		copy(i.Row(r), row[0:h])
-		copy(f.Row(r), row[h:2*h])
-		copy(o.Row(r), row[2*h:3*h])
-		copy(g.Row(r), row[3*h:4*h])
-	}
-}
-
 func addRowBias(m *mat.Matrix, bias []float64) {
 	for r := 0; r < m.Rows; r++ {
 		row := m.Row(r)
@@ -386,17 +386,5 @@ func addColSums(dst *mat.Matrix, src *mat.Matrix) {
 		for j, v := range row {
 			dst.Data[j] += v
 		}
-	}
-}
-
-func applySigmoid(m *mat.Matrix) {
-	for i, v := range m.Data {
-		m.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-}
-
-func applyTanh(m *mat.Matrix) {
-	for i, v := range m.Data {
-		m.Data[i] = math.Tanh(v)
 	}
 }

@@ -17,16 +17,13 @@ type workspace struct {
 
 	zeros *mat.Matrix // (bsz × H) all-zero h₋₁/c₋₁ stand-in; never written
 
-	z, zTmp *mat.Matrix // (bsz × 4H) gate pre-activation staging
-	pred    *mat.Matrix // (bsz × OutputSize)
-	dPred   *mat.Matrix // (bsz × OutputSize)
+	pred  *mat.Matrix // (bsz × OutputSize)
+	dPred *mat.Matrix // (bsz × OutputSize)
 
 	dhSeq, dxSeq []*mat.Matrix // T × (bsz × H) inter-layer gradient buffers
-	dh, dO, dc   *mat.Matrix   // (bsz × H) per-timestep scratch
-	di, df, dg   *mat.Matrix   // (bsz × H)
-	dhCarry      *mat.Matrix   // (bsz × H)
-	dcCarry      *mat.Matrix   // (bsz × H)
-	dz           *mat.Matrix   // (bsz × 4H)
+	dhCarry      *mat.Matrix   // (bsz × H) dL/dh flowing back from t+1
+	dcCarry      *mat.Matrix   // (bsz × H) dL/dc flowing back from t+1
+	dz           *mat.Matrix   // (bsz × 4H) gate pre-activation gradient
 
 	gWy      *mat.Matrix   // (OutputSize × H) head-gradient staging
 	gWx, gWh []*mat.Matrix // per-layer weight-gradient staging
@@ -40,16 +37,8 @@ func newWorkspace(cfg Config, layers []*layer, bsz, T int) *workspace {
 		bsz:     bsz,
 		T:       T,
 		zeros:   mat.New(bsz, h),
-		z:       mat.New(bsz, 4*h),
-		zTmp:    mat.New(bsz, 4*h),
 		pred:    mat.New(bsz, cfg.OutputSize),
 		dPred:   mat.New(bsz, cfg.OutputSize),
-		dh:      mat.New(bsz, h),
-		dO:      mat.New(bsz, h),
-		dc:      mat.New(bsz, h),
-		di:      mat.New(bsz, h),
-		df:      mat.New(bsz, h),
-		dg:      mat.New(bsz, h),
 		dhCarry: mat.New(bsz, h),
 		dcCarry: mat.New(bsz, h),
 		dz:      mat.New(bsz, 4*h),
@@ -68,19 +57,13 @@ func newWorkspace(cfg Config, layers []*layer, bsz, T int) *workspace {
 	ws.gWh = make([]*mat.Matrix, len(layers))
 	for l, ly := range layers {
 		st := &layerState{
-			i:     make([]*mat.Matrix, T),
-			f:     make([]*mat.Matrix, T),
-			o:     make([]*mat.Matrix, T),
-			g:     make([]*mat.Matrix, T),
+			gates: make([]*mat.Matrix, T),
 			c:     make([]*mat.Matrix, T),
 			tanhC: make([]*mat.Matrix, T),
 			h:     make([]*mat.Matrix, T),
 		}
 		for t := 0; t < T; t++ {
-			st.i[t] = mat.New(bsz, h)
-			st.f[t] = mat.New(bsz, h)
-			st.o[t] = mat.New(bsz, h)
-			st.g[t] = mat.New(bsz, h)
+			st.gates[t] = mat.New(bsz, 4*h)
 			st.c[t] = mat.New(bsz, h)
 			st.tanhC[t] = mat.New(bsz, h)
 			st.h[t] = mat.New(bsz, h)

@@ -7,7 +7,8 @@
 #      fuzzing engine time)
 #   3. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
-#   4. coverage report for the observability, framework, fleet, WAL,
+#   4. gofmt: every Go file outside hidden directories is gofmt-clean
+#   5. coverage report for the observability, framework, fleet, WAL,
 #      serving, loadgen and profile layers, with hard floors on
 #      internal/obs, internal/fleet, internal/wal, internal/serve,
 #      internal/loadgen and internal/profile
@@ -44,6 +45,16 @@ if grep -rn --include='*.go' -E '^\s*(stdlog\s+)?"log"$' internal/; then
     exit 1
 fi
 echo "ok: no internal/ package imports the global \"log\" package"
+
+echo "== gofmt =="
+# Hidden directories (.git, the .bench_build cache) hold no project sources.
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+echo "ok: gofmt -l lists no files"
 
 echo "== coverage =="
 fail=0
