@@ -1,26 +1,30 @@
 // Command loadserve exposes trained LoadDynamics models as an HTTP
-// forecast service — the endpoint an auto-scaler polls each interval.
+// forecast service — the endpoint an auto-scaler polls each interval. It
+// always serves a fleet; the two modes differ only in where the fleet's
+// workloads come from.
 //
-// Single-model mode — train and save a model first, then serve it:
+// One model — train and save a model first, then serve it as the
+// workload "default" of a memory-only fleet:
 //
 //	loadctl evaluate -kind gl -interval 30 -save model.json
 //	loadserve -model model.json -addr :8080
 //
-// Fleet mode — build a model directory, then serve every workload in it
-// with online drift detection and background self-rebuild:
+// A model directory — build one, then serve every workload in it:
 //
 //	loadctl fleet -kinds gl,wiki -interval 30 -out-dir models/
 //	loadserve -models models/ -addr :8080 -rebuild-workers 1
 //
+// Both modes get online drift detection and background self-rebuild.
+//
 // Endpoints: GET /healthz, GET /v1/workloads, POST
 // /v1/workloads/{id}/forecast ({"history": [...], "steps": n}), POST
 // /v1/workloads/{id}/observe ({"values": [...]}), GET
-// /v1/workloads/{id}/model, POST /v1/observe:stream (high-throughput
-// multi-workload observation ingest: NDJSON or binary-framed batches,
-// drained through sharded bounded queues with 429 backpressure — see
-// cmd/loadgen for the matching load generator), plus the single-model
-// aliases GET /v1/model, POST /v1/forecast and POST /v1/reload for the
-// default workload.
+// /v1/workloads/{id}/model, POST /v1/forecast:batch, POST
+// /v1/observe:stream (high-throughput multi-workload observation ingest:
+// NDJSON or binary-framed batches, drained through sharded bounded queues
+// with 429 backpressure — see cmd/loadgen for the matching load
+// generator). With -model the workload ID is "default", e.g. POST
+// /v1/workloads/default/forecast.
 //
 // Operations:
 //
@@ -29,9 +33,13 @@
 //     -drift-threshold (or
 //     -drift-factor × its stored CV error) is rebuilt in the background
 //     and the new model promoted only if its CV error improves.
-//   - SIGHUP (or POST /v1/reload) atomically reloads the default
-//     workload's model from disk; on a corrupt file the old model keeps
-//     serving.
+//   - SIGHUP atomically reloads models from disk through the fleet: with
+//     -model the file is re-read into "default", with -models every
+//     workload re-reads its snapshot. Each reload is a promotion, so with
+//     -models every workload is re-persisted, gets a new version (dropping
+//     its cached forecasts) and is made resident in turn — under
+//     -resident-cap the last workloads reloaded stay in memory. A workload
+//     whose file fails to load keeps serving its old model.
 //   - SIGINT/SIGTERM drain in-flight requests for up to -shutdown-grace
 //     before exiting (fleet rebuild workers are cancelled first).
 //   - Requests beyond -max-inflight concurrent forecasts are shed with 503
@@ -51,6 +59,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -69,23 +78,22 @@ func main() {
 	var (
 		modelPath     = flag.String("model", "", "trained model file (from 'loadctl evaluate -save'); exactly one of -model/-models is required")
 		modelsDir     = flag.String("models", "", "fleet model directory (from 'loadctl fleet'); exactly one of -model/-models is required")
-		defaultWl     = flag.String("default-workload", "", "workload the single-model alias routes serve (default: \"default\", else the first workload)")
 		addr          = flag.String("addr", ":8080", "listen address")
 		reqTimeout    = flag.Duration("request-timeout", 10*time.Second, "per-forecast computation budget")
 		maxInFlight   = flag.Int("max-inflight", 64, "concurrent forecasts before 503 shedding")
-		cacheTTL      = flag.Duration("forecast-cache-ttl", 0, "serve identical (workload, window, steps) forecasts from memory for this long (0 disables); promotions and reloads invalidate")
+		cacheTTL      = flag.Duration("forecast-cache-ttl", 0, "serve identical (workload, window, steps) forecasts from memory for this long (0 disables); promotions, reloads included, invalidate")
 		cacheCap      = flag.Int("forecast-cache-cap", 4096, "forecast cache entries held before LRU eviction (with -forecast-cache-ttl > 0)")
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second, "drain period for in-flight requests on SIGINT/SIGTERM")
 		residentCap   = flag.Int("resident-cap", 0, "fleet models held in memory at once (0 = all); least-recently-used models are evicted to their snapshots")
 		driftThresh   = flag.Float64("drift-threshold", 50, "rolling-MAPE percentage above which a workload is drifted")
 		driftFactor   = flag.Float64("drift-factor", 3, "drift when rolling MAPE exceeds this multiple of the model's stored CV error")
-		rebuildWork   = flag.Int("rebuild-workers", 1, "background rebuild worker pool size (fleet mode)")
+		rebuildWork   = flag.Int("rebuild-workers", 1, "background rebuild worker pool size")
 		rebuildBudget = flag.Duration("rebuild-budget", 0, "wall-clock budget per background rebuild (0 = unlimited); timed-out rebuilds checkpoint and resume")
-		rebuildBack   = flag.Duration("rebuild-backoff", 30*time.Second, "base delay before retrying a failed workload rebuild; doubles per consecutive failure with jitter (fleet mode)")
-		warmStartK    = flag.Int("warm-start-k", 3, "fingerprint-nearest sibling workloads whose tuned hyperparameters seed each rebuild's search (fleet mode; <= 0 disables warm-starting)")
-		walDir        = flag.String("wal-dir", "", "observation write-ahead log directory (fleet mode); observations replay into evaluator state on restart. Empty disables the WAL")
+		rebuildBack   = flag.Duration("rebuild-backoff", 30*time.Second, "base delay before retrying a failed workload rebuild; doubles per consecutive failure with jitter")
+		warmStartK    = flag.Int("warm-start-k", 3, "fingerprint-nearest sibling workloads whose tuned hyperparameters seed each rebuild's search (<= 0 disables warm-starting)")
+		walDir        = flag.String("wal-dir", "", "observation write-ahead log directory (requires -models); observations replay into evaluator state on restart. Empty disables the WAL")
 		walFsync      = flag.String("wal-fsync", "always", "WAL fsync policy: \"always\" (every record), \"off\", or an interval like \"250ms\"")
-		ingestShards  = flag.Int("ingest-shards", 8, "evaluator shards for streaming ingest; each owns a bounded queue and one drain worker (fleet mode)")
+		ingestShards  = flag.Int("ingest-shards", 8, "evaluator shards for streaming ingest; each owns a bounded queue and one drain worker")
 		ingestQueue   = flag.Int("ingest-queue", 1024, "per-shard ingest queue depth; a full queue sheds /v1/observe:stream records with 429")
 		maxStreamBody = flag.Int64("max-stream-bytes", 64<<20, "largest /v1/observe:stream request body accepted")
 		retryAfter    = flag.Duration("retry-after", time.Second, "base Retry-After hint on shed 503s; scales with sustained shedding up to -retry-after-max")
@@ -135,11 +143,30 @@ func main() {
 		fatal(err.Error())
 	}
 	if *walDir != "" && *modelsDir == "" {
-		fatal("-wal-dir requires fleet mode (-models)")
+		fatal("-wal-dir requires -models")
 	}
-	opts := serve.Options{
-		ModelPath:        *modelPath,
-		DefaultWorkload:  *defaultWl,
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fl, handler, err := startFleet(ctx, *modelPath, fleet.Options{
+		Dir:            *modelsDir,
+		ResidentCap:    *residentCap,
+		DriftThreshold: *driftThresh,
+		DriftFactor:    *driftFactor,
+		RebuildWorkers: *rebuildWork,
+		RebuildBudget:  *rebuildBudget,
+		RebuildBackoff: *rebuildBack,
+		WarmStartK:     warmStartKOption(*warmStartK),
+		IngestShards:   *ingestShards,
+		IngestQueue:    *ingestQueue,
+		WAL: wal.Options{
+			Dir:          *walDir,
+			Sync:         syncPolicy,
+			SyncInterval: syncEvery,
+		},
+		Logger: lg,
+		Trace:  trace,
+		Flight: flight,
+	}, serve.Options{
 		RequestTimeout:   *reqTimeout,
 		MaxInFlight:      *maxInFlight,
 		RetryAfterBase:   *retryAfter,
@@ -153,62 +180,14 @@ func main() {
 		SLOLatencyP99:    *sloLatencyP99,
 		SLOErrorRate:     *sloErrorRate,
 		SLODriftMAPE:     *driftThresh,
+	})
+	if err != nil {
+		fatal(err.Error())
 	}
-	var handler *serve.Server
-	var fl *fleet.Fleet
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *modelsDir != "" {
-		fl, err = fleet.Open(fleet.Options{
-			Dir:            *modelsDir,
-			ResidentCap:    *residentCap,
-			DriftThreshold: *driftThresh,
-			DriftFactor:    *driftFactor,
-			RebuildWorkers: *rebuildWork,
-			RebuildBudget:  *rebuildBudget,
-			RebuildBackoff: *rebuildBack,
-			WarmStartK:     warmStartKOption(*warmStartK),
-			IngestShards:   *ingestShards,
-			IngestQueue:    *ingestQueue,
-			WAL: wal.Options{
-				Dir:          *walDir,
-				Sync:         syncPolicy,
-				SyncInterval: syncEvery,
-			},
-			Logger: lg,
-			Trace:  trace,
-			Flight: flight,
-		})
-		if err != nil {
-			fatal(err.Error())
-		}
-		if fl.Len() == 0 {
-			fatal("model directory has no workloads (run 'loadctl fleet' first)", "dir", *modelsDir)
-		}
-		handler, err = serve.NewFleet(fl, opts)
-		if err != nil {
-			fatal(err.Error())
-		}
-		fl.Start(ctx)
-		fl.StartIngest()
-		defer fl.Close()
-		lg.Info("serving fleet",
-			obs.LogComponent, "loadserve",
-			"workloads", fl.Len(), "dir", *modelsDir, "addr", *addr, "ids", fl.IDs(),
-			"wal_dir", *walDir, "wal_fsync", *walFsync)
-	} else {
-		model, err := core.LoadFile(*modelPath)
-		if err != nil {
-			fatal(err.Error())
-		}
-		handler, err = serve.New(model, opts)
-		if err != nil {
-			fatal(err.Error())
-		}
-		lg.Info("serving model",
-			obs.LogComponent, "loadserve",
-			"hp", model.HP.String(), "validation_mape", model.ValError, "addr", *addr)
-	}
+	lg.Info("serving fleet",
+		obs.LogComponent, "loadserve",
+		"workloads", fl.Len(), "model", *modelPath, "dir", *modelsDir, "addr", *addr, "ids", fl.IDs(),
+		"wal_dir", *walDir, "wal_fsync", *walFsync)
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: handler,
@@ -240,21 +219,18 @@ func main() {
 		}()
 	}
 
-	// SIGHUP → hot reload of the default workload; on failure the old model
-	// keeps serving.
+	// SIGHUP → hot reload through the fleet; a workload whose file fails to
+	// load keeps serving its old model.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if err := handler.Reload(); err != nil {
+			if err := reload(fl, *modelPath); err != nil {
 				lg.Warn("reload failed, keeping current model",
 					obs.LogComponent, "loadserve", "error", err.Error())
 				continue
 			}
-			m := handler.Model()
-			lg.Info("model reloaded",
-				obs.LogComponent, "loadserve",
-				"hp", m.HP.String(), "validation_mape", m.ValError)
+			lg.Info("models reloaded", obs.LogComponent, "loadserve", "workloads", fl.Len())
 		}
 	}()
 
@@ -276,16 +252,73 @@ func main() {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err.Error())
 		}
-		if fl != nil {
-			fl.Close()
-		}
+		fl.Close()
 		writeTrace(lg, trace, *traceOut)
 		lg.Info("drained, exiting", obs.LogComponent, "loadserve")
 	}
 }
 
-// newLogger builds the process logger from the -log-level/-log-format
-// flags.
+// modelWorkload is the workload ID -model serves its file under.
+const modelWorkload = "default"
+
+// startFleet opens the fleet loadserve serves, wraps it in the HTTP server
+// and starts its rebuild and stream-ingest workers. With modelPath set,
+// fopts.Dir is empty and the fleet is memory-only, holding the file's model
+// as workload "default"; otherwise the fleet opens fopts.Dir. Either way the
+// lifecycle is the same, and the caller Closes the returned fleet.
+func startFleet(ctx context.Context, modelPath string, fopts fleet.Options, sopts serve.Options) (*fleet.Fleet, *serve.Server, error) {
+	fl, err := fleet.Open(fopts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if modelPath != "" {
+		var m *core.Model
+		if m, err = core.LoadFile(modelPath); err == nil {
+			err = fl.Add(modelWorkload, m)
+		} else {
+			err = fmt.Errorf("loading %s: %w", modelPath, err)
+		}
+	} else if fl.Len() == 0 {
+		err = fmt.Errorf("model directory %s has no workloads (run 'loadctl fleet' first)", fopts.Dir)
+	}
+	var srv *serve.Server
+	if err == nil {
+		srv, err = serve.NewFleet(fl, sopts)
+	}
+	if err != nil {
+		fl.Close()
+		return nil, nil, err
+	}
+	fl.Start(ctx)
+	fl.StartIngest()
+	return fl, srv, nil
+}
+
+// reload re-reads served models from disk and promotes them through the
+// fleet, so each swap bumps the workload's version and invalidates its
+// cached forecasts. With modelPath set the file is re-read into workload
+// "default"; otherwise every workload reloads its own snapshot, even one
+// whose file has not changed, and each promotion re-persists the snapshot
+// and manifest and makes the workload resident (evicting others under
+// ResidentCap). A workload whose file fails to load keeps serving its old
+// model; the errors are joined.
+func reload(fl *fleet.Fleet, modelPath string) error {
+	if modelPath != "" {
+		m, err := core.LoadFile(modelPath)
+		if err != nil {
+			return fmt.Errorf("reloading %s: %w", modelPath, err)
+		}
+		return fl.Promote(modelWorkload, m)
+	}
+	var errs []error
+	for _, id := range fl.IDs() {
+		if err := fl.ReloadWorkload(id); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // warmStartKOption maps the flag convention (<= 0 disables) onto
 // fleet.Options.WarmStartK (0 means "use the default", negative disables).
 func warmStartKOption(k int) int {
@@ -295,6 +328,8 @@ func warmStartKOption(k int) int {
 	return k
 }
 
+// newLogger builds the process logger from the -log-level/-log-format
+// flags.
 func newLogger(level, format string) (*slog.Logger, error) {
 	lvl, err := obs.ParseLogLevel(level)
 	if err != nil {

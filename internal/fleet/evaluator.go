@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -166,10 +167,8 @@ func (f *Fleet) ObserveCtx(id string, values []float64, tc obs.TraceCtx) (Status
 	if e == nil {
 		return Status{}, fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
 	}
-	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return Status{}, fmt.Errorf("fleet: observation %d is invalid (%v): arrivals are finite and non-negative", i, v)
-		}
+	if err := checkObservations(values); err != nil {
+		return Status{}, err
 	}
 	if tc.Trace == 0 && f.flight != nil {
 		tc.Trace = f.flight.NewTrace()
@@ -188,6 +187,21 @@ func (f *Fleet) ObserveCtx(id string, values []float64, tc obs.TraceCtx) (Status
 
 	f.noteIngest(e, &st, wasDrift, enoughHistory, true, valErr, tc)
 	return st, nil
+}
+
+// checkObservations is the one admission check for an observation batch,
+// shared by ObserveCtx and EnqueueObserveCtx: a batch must be non-empty
+// and every arrival finite and non-negative.
+func checkObservations(values []float64) error {
+	if len(values) == 0 {
+		return errors.New("fleet: empty observation batch")
+	}
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("fleet: observation %d is invalid (%v): arrivals are finite and non-negative", i, v)
+		}
+	}
+	return nil
 }
 
 // ingestLocked runs the scoring loop for one observation batch: each value

@@ -564,9 +564,6 @@ func (f *Fleet) IDs() []string {
 	return out
 }
 
-// Persistent reports whether the fleet is backed by a snapshot directory.
-func (f *Fleet) Persistent() bool { return f.opts.Dir != "" }
-
 func (f *Fleet) get(id string) *entry {
 	f.mu.RLock()
 	e := f.entries[id]

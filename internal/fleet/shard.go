@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -142,13 +141,8 @@ func (f *Fleet) EnqueueObserveCtx(id string, values []float64, tc obs.TraceCtx) 
 	if e == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
 	}
-	if len(values) == 0 {
-		return errors.New("fleet: empty observation batch")
-	}
-	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("fleet: observation %d is invalid (%v): arrivals are finite and non-negative", i, v)
-		}
+	if err := checkObservations(values); err != nil {
+		return err
 	}
 	if tc.Trace == 0 && f.flight != nil {
 		tc.Trace = f.flight.NewTrace()

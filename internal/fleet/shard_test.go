@@ -127,6 +127,32 @@ func TestEnqueueObserveValidation(t *testing.T) {
 	}
 }
 
+// TestObserveRejectsWhatEnqueueRejects pins the shared admission check: a
+// batch the stream path refuses is refused by the per-request path too, and
+// a refused batch never reaches the WAL.
+func TestObserveRejectsWhatEnqueueRejects(t *testing.T) {
+	f, err := Open(walOptions(testOptions(t, t.TempDir()), t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Add("w", tinyModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := f.WALStats().Appended
+	for _, bad := range [][]float64{nil, {}, {math.NaN()}, {math.Inf(-1)}, {1, -2}} {
+		if _, err := f.Observe("w", bad); err == nil {
+			t.Errorf("Observe(%v) accepted", bad)
+		}
+		if err := f.EnqueueObserve("w", bad); err == nil {
+			t.Errorf("EnqueueObserve(%v) accepted", bad)
+		}
+	}
+	if got := f.WALStats().Appended; got != before {
+		t.Fatalf("rejected batches appended %d WAL records", got-before)
+	}
+}
+
 // TestIngestBackpressure fills a tiny queue with the drain workers
 // stopped: every overflow must surface as ErrIngestQueueFull (counted),
 // and starting the workers afterwards applies exactly the admitted

@@ -11,7 +11,7 @@ import (
 // `_total` suffix, histograms are emitted with cumulative buckets,
 // `_sum` and `_count`, and every metric name is sanitized into the legal
 // charset ([a-zA-Z_:][a-zA-Z0-9_:]*), so registry names like
-// "serve.latency_seconds.forecast" or per-workload gauges like
+// "serve.latency_seconds.workload_forecast" or per-workload gauges like
 // "fleet.rolling_mape_pct.gl-30m" export as valid series.
 //
 // Consistency: the renderer reads live atomics without stopping writers
@@ -28,6 +28,15 @@ import (
 // sorted original order) wins and later ones are dropped — duplicate
 // series would make the whole exposition unparseable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.writeText(w, false)
+}
+
+// writeText is the one text renderer behind WritePrometheus and
+// WriteOpenMetrics. openMetrics switches the three format differences:
+// the counter family is declared under its bare name (the sample keeps
+// `_total`), histogram buckets carry exemplars, and the exposition ends
+// with `# EOF`. Duplicate detection keys on the declared family name.
+func (r *Registry) writeText(w io.Writer, openMetrics bool) error {
 	r.mu.RLock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
@@ -53,16 +62,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return true
 	}
 	for _, n := range sortedKeys(counters) {
-		name := SanitizeMetricName(n) + "_total"
-		if !emit(name) {
+		family := SanitizeMetricName(n)
+		sample := family + "_total"
+		if !openMetrics {
+			family = sample
+		}
+		if !emit(family) {
 			continue
 		}
 		v := counters[n].Value()
 		if v < 0 {
 			v = 0
 		}
-		bw.WriteString("# TYPE " + name + " counter\n")
-		bw.WriteString(name + " " + strconv.FormatInt(v, 10) + "\n")
+		bw.WriteString("# TYPE " + family + " counter\n")
+		bw.WriteString(sample + " " + strconv.FormatInt(v, 10) + "\n")
 	}
 	for _, n := range sortedKeys(gauges) {
 		name := SanitizeMetricName(n)
@@ -77,17 +90,28 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if !emit(name) {
 			continue
 		}
-		writePrometheusHistogram(bw, name, hists[n])
+		writeHistogram(bw, name, hists[n], openMetrics)
+	}
+	if openMetrics {
+		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }
 
-// writePrometheusHistogram emits one histogram: cumulative buckets at
-// every bound where the count changes (plus the mandatory le="+Inf"),
-// then `_sum` and `_count`. Count is derived from the bucket pass, not
-// the separate count atomic, so `_count` always equals the +Inf bucket
-// even when the two are mid-update.
-func writePrometheusHistogram(w *bufio.Writer, name string, h *Histogram) {
+// writeHistogram emits one histogram: cumulative buckets at every bound
+// where the count changes (plus the mandatory le="+Inf"), then `_sum` and
+// `_count`. Count is derived from the bucket pass, not the separate count
+// atomic, so `_count` always equals the +Inf bucket even when the two are
+// mid-update. With exemplars set, each emitted bucket line carries its
+// retained exemplar (OpenMetrics only).
+func writeHistogram(w *bufio.Writer, name string, h *Histogram, exemplars bool) {
+	bucket := func(le string, cum int64, i int) {
+		w.WriteString(name + `_bucket{le="` + le + `"} ` + strconv.FormatInt(cum, 10))
+		if exemplars {
+			writeExemplar(w, h.exemplar(i))
+		}
+		w.WriteByte('\n')
+	}
 	w.WriteString("# TYPE " + name + " histogram\n")
 	var cum int64
 	for i := 0; i < numBuckets+2; i++ {
@@ -105,10 +129,9 @@ func writePrometheusHistogram(w *bufio.Writer, name string, h *Histogram) {
 		} else {
 			bound = bucketBound(i - 1)
 		}
-		w.WriteString(name + `_bucket{le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"} ` +
-			strconv.FormatInt(cum, 10) + "\n")
+		bucket(strconv.FormatFloat(bound, 'g', -1, 64), cum, i)
 	}
-	w.WriteString(name + `_bucket{le="+Inf"} ` + strconv.FormatInt(cum, 10) + "\n")
+	bucket("+Inf", cum, numBuckets+1)
 	sum := h.Sum()
 	if cum == 0 || sum != sum { // empty or NaN mid-update: clamp to a parseable 0
 		sum = 0

@@ -15,7 +15,7 @@ import (
 // (` # {trace_id="…"} value`), and the exposition must end with `# EOF`.
 // Everything else — sorted order, sanitized names, the derive-count-
 // from-one-bucket-pass consistency clamp — is shared with
-// WritePrometheus.
+// WritePrometheus through one renderer (writeText).
 
 // Content-Type values for the two expositions the admin endpoints serve.
 const (
@@ -34,100 +34,11 @@ func AcceptsOpenMetrics(accept string) bool {
 
 // WriteOpenMetrics renders every metric in OpenMetrics 1.0 text format,
 // attaching each histogram bucket's retained exemplar (see
-// Histogram.ObserveExemplar) and terminating with `# EOF`.
+// Histogram.ObserveExemplar) and terminating with `# EOF`. Exemplar
+// timestamps are deliberately omitted — they are optional in the format
+// and their absence keeps the exposition deterministic for golden tests.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	r.mu.RUnlock()
-
-	bw := bufio.NewWriter(w)
-	seen := map[string]bool{}
-	emit := func(name string) bool {
-		if seen[name] {
-			return false
-		}
-		seen[name] = true
-		return true
-	}
-	for _, n := range sortedKeys(counters) {
-		name := SanitizeMetricName(n)
-		if !emit(name) {
-			continue
-		}
-		v := counters[n].Value()
-		if v < 0 {
-			v = 0
-		}
-		bw.WriteString("# TYPE " + name + " counter\n")
-		bw.WriteString(name + "_total " + strconv.FormatInt(v, 10) + "\n")
-	}
-	for _, n := range sortedKeys(gauges) {
-		name := SanitizeMetricName(n)
-		if !emit(name) {
-			continue
-		}
-		bw.WriteString("# TYPE " + name + " gauge\n")
-		bw.WriteString(name + " " + strconv.FormatInt(gauges[n].Value(), 10) + "\n")
-	}
-	for _, n := range sortedKeys(hists) {
-		name := SanitizeMetricName(n)
-		if !emit(name) {
-			continue
-		}
-		writeOpenMetricsHistogram(bw, name, hists[n])
-	}
-	bw.WriteString("# EOF\n")
-	return bw.Flush()
-}
-
-// writeOpenMetricsHistogram mirrors writePrometheusHistogram (cumulative
-// buckets derived from one pass, elided zero buckets, mandatory +Inf)
-// and appends each emitted bucket's exemplar. Exemplar timestamps are
-// deliberately omitted — they are optional in the format and their
-// absence keeps the exposition deterministic for golden tests.
-func writeOpenMetricsHistogram(w *bufio.Writer, name string, h *Histogram) {
-	w.WriteString("# TYPE " + name + " histogram\n")
-	var cum int64
-	for i := 0; i < numBuckets+2; i++ {
-		n := h.counts[i].Load()
-		if n <= 0 {
-			continue
-		}
-		cum += n
-		if i == numBuckets+1 {
-			break // overflow lands in +Inf only
-		}
-		var bound float64
-		if i == 0 {
-			bound = bucketBound(-1)
-		} else {
-			bound = bucketBound(i - 1)
-		}
-		w.WriteString(name + `_bucket{le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"} ` +
-			strconv.FormatInt(cum, 10))
-		writeExemplar(w, h.exemplar(i))
-		w.WriteByte('\n')
-	}
-	w.WriteString(name + `_bucket{le="+Inf"} ` + strconv.FormatInt(cum, 10))
-	writeExemplar(w, h.exemplar(numBuckets+1))
-	w.WriteByte('\n')
-	sum := h.Sum()
-	if cum == 0 || sum != sum {
-		sum = 0
-	}
-	w.WriteString(name + "_sum " + strconv.FormatFloat(sum, 'g', -1, 64) + "\n")
-	w.WriteString(name + "_count " + strconv.FormatInt(cum, 10) + "\n")
+	return r.writeText(w, true)
 }
 
 func writeExemplar(w *bufio.Writer, ex *Exemplar) {

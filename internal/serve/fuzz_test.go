@@ -17,9 +17,12 @@ import (
 	"loaddynamics/internal/obs"
 )
 
-// fuzzServer builds one tiny-model server per process with an instant stub
-// predictor, so the fuzzer spends its budget on the request decoder and
-// validation chain, not on LSTM math.
+// fuzzServer builds one tiny-model server per process — a one-workload
+// memory-only fleet serving "default" — with an instant stub predictor, so
+// the fuzzer spends its budget on the request decoder and validation chain,
+// not on LSTM math. The fleet's ingest workers run, so records accepted by
+// the stream target drain instead of filling the shard queue. The fleet
+// lives as long as the process.
 var fuzzServer = sync.OnceValue(func() *Server {
 	rng := rand.New(rand.NewSource(7))
 	series := make([]float64, 80)
@@ -34,7 +37,16 @@ var fuzzServer = sync.OnceValue(func() *Server {
 	if err != nil {
 		panic(err)
 	}
-	s, err := New(m, Options{Metrics: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	fl, err := fleet.Open(fleet.Options{Metrics: reg})
+	if err != nil {
+		panic(err)
+	}
+	if err := fl.Add("default", m); err != nil {
+		panic(err)
+	}
+	fl.StartIngest()
+	s, err := NewFleet(fl, Options{Metrics: reg})
 	if err != nil {
 		panic(err)
 	}
@@ -107,7 +119,8 @@ func FuzzObserveHandler(f *testing.F) {
 	})
 }
 
-// FuzzForecastHandler throws arbitrary request bodies at POST /v1/forecast:
+// FuzzForecastHandler throws arbitrary request bodies at POST
+// /v1/workloads/default/forecast:
 // the handler must never panic, must answer only 200 or 400 (the stub
 // predictor cannot time out, err or overload), and must always produce valid
 // JSON — a malformed payload must never leak a non-JSON error page to the
@@ -133,7 +146,7 @@ func FuzzForecastHandler(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := fuzzServer()
-		req := httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/workloads/default/forecast", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func TestServeMetricsRequestCountersAndLatency(t *testing.T) {
 	if got := counterValue(reg, "serve.requests.healthz"); got != 3 {
 		t.Fatalf("healthz requests = %d, want 3", got)
 	}
-	if got := counterValue(reg, "serve.requests.forecast"); got != 2 {
+	if got := counterValue(reg, "serve.requests.workload_forecast"); got != 2 {
 		t.Fatalf("forecast requests = %d, want 2", got)
 	}
 	if got := counterValue(reg, "serve.requests.other"); got != 1 {
@@ -64,7 +63,7 @@ func TestServeMetricsRequestCountersAndLatency(t *testing.T) {
 		t.Fatalf("status 400 = %d, want 1", got)
 	}
 
-	hs := reg.Histogram("serve.latency_seconds.forecast").Snapshot()
+	hs := reg.Histogram("serve.latency_seconds.workload_forecast").Snapshot()
 	if hs.Count != 2 {
 		t.Fatalf("forecast latency observations = %d, want 2", hs.Count)
 	}
@@ -161,37 +160,8 @@ func TestServeMetricsErrorPathCounters(t *testing.T) {
 	if got := counterValue(reg3, "serve.degraded"); got != 1 {
 		t.Fatalf("degraded = %d, want 1", got)
 	}
-	if hs := reg3.Histogram("serve.latency_seconds.forecast").Snapshot(); hs.Count != 3 {
+	if hs := reg3.Histogram("serve.latency_seconds.workload_forecast").Snapshot(); hs.Count != 3 {
 		t.Fatalf("forecast latency observations = %d, want 3 (502 + degraded + panic)", hs.Count)
-	}
-}
-
-func TestServeMetricsReloadCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	// reloadFixture builds its server on the default registry; rebuild one on
-	// a private registry against the same model path for isolated counters.
-	_, fixture, _, m2, path, _ := reloadFixture(t)
-	s, err := New(fixture.Model(), Options{ModelPath: path, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(`{"version":1,"garbage":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reload(); err == nil {
-		t.Fatal("reload of corrupt file succeeded")
-	}
-	if got := counterValue(reg, "serve.reloads"); got != 1 {
-		t.Fatalf("reloads = %d, want 1", got)
-	}
-	if got := counterValue(reg, "serve.reload_failures"); got != 1 {
-		t.Fatalf("reload_failures = %d, want 1", got)
 	}
 }
 
@@ -220,10 +190,10 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Counters["serve.requests.forecast"] != 1 {
-		t.Fatalf("snapshot forecast requests = %d, want 1", snap.Counters["serve.requests.forecast"])
+	if snap.Counters["serve.requests.workload_forecast"] != 1 {
+		t.Fatalf("snapshot forecast requests = %d, want 1", snap.Counters["serve.requests.workload_forecast"])
 	}
-	lat, ok := snap.Histograms["serve.latency_seconds.forecast"]
+	lat, ok := snap.Histograms["serve.latency_seconds.workload_forecast"]
 	if !ok {
 		t.Fatalf("snapshot missing forecast latency histogram: %v", snap.Histograms)
 	}

@@ -1,15 +1,16 @@
-// Package serve exposes trained LoadDynamics models as an HTTP forecast
-// service — the integration point an auto-scaler polls each interval. The
-// handlers are stdlib net/http only, hardened for production: panics are
-// recovered to JSON 500s, forecasts run under a per-request timeout, an
-// in-flight limiter sheds excess load with 503s, corrupt model output is
-// replaced by a degraded last-value fallback instead of poisoning the
-// auto-scaler, and models can be hot-reloaded atomically.
+// Package serve exposes a fleet of trained LoadDynamics models as an HTTP
+// forecast service — the integration point an auto-scaler polls each
+// interval. The handlers are stdlib net/http only, hardened for
+// production: panics are recovered to JSON 500s, forecasts run under a
+// per-request timeout, an in-flight limiter sheds excess load with 503s,
+// and corrupt model output is replaced by a degraded last-value fallback
+// instead of poisoning the auto-scaler.
 //
-// The server is fleet-backed: it routes per-workload requests into an
-// internal/fleet registry, feeds observed arrivals to the fleet's online
-// evaluator (closing the drift→rebuild loop), and keeps the original
-// single-model endpoints as aliases for a configurable default workload.
+// A server always routes into an internal/fleet registry (NewFleet): it
+// serves per-workload requests, feeds observed arrivals to the fleet's
+// online evaluator (closing the drift→rebuild loop), and sees every
+// promotion — a background rebuild or an operator reload through the
+// fleet — atomically. Serving one model is a one-workload fleet.
 //
 // Endpoints:
 //
@@ -20,14 +21,12 @@
 //	POST /v1/workloads/{id}/observe       {"values": [...]} → rolling-error status
 //	GET  /v1/workloads/{id}/model         model metadata + workload health
 //	GET  /v1/workloads/{id}/timeline      flight-recorder causal event timeline
-//	GET  /v1/model                        alias: default workload's model
-//	POST /v1/forecast                     alias: default workload forecast
 //	POST /v1/forecast:batch               many (workload, history, steps) forecasts in one call
-//	POST /v1/reload                       reload the default workload from disk
+//	POST /v1/observe:stream               multi-workload observation stream
 //
 // Every request is metered (per-route counters and latency histograms,
-// per-status-code counters, an in-flight gauge, degraded-fallback and
-// reload counters); Admin returns the operator-only mux exposing the
+// per-status-code counters, an in-flight gauge and a degraded-fallback
+// counter); Admin returns the operator-only mux exposing the
 // snapshot at GET /debug/metrics (Prometheus 0.0.4 or OpenMetrics 1.0 via
 // Accept negotiation), flight-recorder stats at GET /debug/flight, plus
 // opt-in net/http/pprof.
@@ -65,21 +64,9 @@ const MaxSteps = 1000
 // count; override per server with Options.MaxObservations.
 const MaxObservationsLen = 10_000
 
-// DefaultWorkloadID names the workload the single-model alias routes serve
-// when Options.DefaultWorkload is unset.
-const DefaultWorkloadID = "default"
-
 // Options tune the server's protective limits. The zero value gets
 // production defaults.
 type Options struct {
-	// ModelPath is the file /v1/reload (and SIGHUP in cmd/loadserve)
-	// re-reads the default workload's model from. Empty falls back to the
-	// fleet's own snapshot directory; with neither, reloading is disabled.
-	ModelPath string
-	// DefaultWorkload is the fleet workload the alias routes (/v1/model,
-	// /v1/forecast, /v1/reload) serve (default "default"; for a fleet
-	// without that ID, the first workload ID in sorted order).
-	DefaultWorkload string
 	// RequestTimeout bounds each forecast computation (default 10s). The
 	// model honors it between forecast steps, so a 1000-step request on a
 	// slow model cannot wedge a connection forever.
@@ -115,7 +102,7 @@ type Options struct {
 	// ForecastCacheTTL, when positive, enables the TTL forecast cache:
 	// identical (workload, model version, history window, steps) requests
 	// inside the TTL are served from memory with singleflight on miss, and
-	// promotions/reloads invalidate the workload's entries. Zero disables
+	// promotions invalidate the workload's entries. Zero disables
 	// caching (the default — correctness first, opt in for speed).
 	ForecastCacheTTL time.Duration
 	// ForecastCacheCap bounds the cache's entry count (default 4096 when
@@ -208,12 +195,11 @@ func (o Options) withDefaults() Options {
 
 // Server routes HTTP requests into a workload fleet.
 type Server struct {
-	opts      Options
-	fleet     *fleet.Fleet
-	flight    *obs.FlightRecorder
-	defaultID string
-	mux       *http.ServeMux
-	inflight  chan struct{}
+	opts     Options
+	fleet    *fleet.Fleet
+	flight   *obs.FlightRecorder
+	mux      *http.ServeMux
+	inflight chan struct{}
 	// shedStreak counts consecutive shed requests since the last
 	// successful slot acquisition; it scales the Retry-After hint so
 	// clients back off in proportion to how hard the server is shedding.
@@ -254,8 +240,6 @@ type serveMetrics struct {
 	routes         map[string]routeMetrics
 	inflight       *obs.Gauge
 	degraded       *obs.Counter
-	reloads        *obs.Counter
-	reloadFailures *obs.Counter
 	streamAccepted *obs.Counter
 	streamRejected *obs.Counter
 	streamShed     *obs.Counter
@@ -266,11 +250,8 @@ type serveMetrics struct {
 // cannot inflate the registry with junk names.
 var serveRoutes = map[string]string{
 	"/healthz":           "healthz",
-	"/v1/model":          "model",
-	"/v1/forecast":       "forecast",
 	"/v1/forecast:batch": "forecast_batch",
 	"/v1/observe:stream": "observe_stream",
-	"/v1/reload":         "reload",
 	"/v1/workloads":      "workloads",
 }
 
@@ -306,8 +287,6 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		routes:         make(map[string]routeMetrics, len(serveRoutes)+len(workloadRoutes)+1),
 		inflight:       reg.Gauge("serve.inflight"),
 		degraded:       reg.Counter("serve.degraded"),
-		reloads:        reg.Counter("serve.reloads"),
-		reloadFailures: reg.Counter("serve.reload_failures"),
 		streamAccepted: reg.Counter("serve.stream.accepted"),
 		streamRejected: reg.Counter("serve.stream.rejected"),
 		streamShed:     reg.Counter("serve.stream.shed"),
@@ -354,35 +333,13 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// New returns a hardened single-model server: a memory-only fleet holding
-// one default workload, served by the alias routes. The fleet endpoints
-// work too — they see that one workload.
-func New(model *core.Model, opts Options) (*Server, error) {
-	if model == nil {
-		return nil, fmt.Errorf("serve: nil model")
-	}
-	id := opts.DefaultWorkload
-	if id == "" {
-		id = DefaultWorkloadID
-	}
-	fl, err := fleet.Open(fleet.Options{Metrics: opts.withDefaults().Metrics, Flight: opts.Flight})
-	if err != nil {
-		return nil, err
-	}
-	if err := fl.Add(id, model); err != nil {
-		return nil, err
-	}
-	// The server owns this fleet, so it owns starting the stream-ingest
-	// workers too. NewFleet leaves that to the caller.
-	fl.StartIngest()
-	return NewFleet(fl, opts)
-}
-
-// NewFleet returns a server routing into an existing (non-empty) fleet. The
-// caller owns the fleet's lifecycle: Start its rebuild workers to enable
-// drift-triggered self-rebuilds, StartIngest its stream-ingest workers so
-// POST /v1/observe:stream drains (an unstarted fleet accepts streams only
-// until its shard queues fill, then answers 429), and Close it on shutdown.
+// NewFleet returns a server routing into an existing (non-empty) fleet —
+// the only way to build one. The caller owns the fleet's lifecycle: Start
+// its rebuild workers to enable drift-triggered self-rebuilds, StartIngest
+// its stream-ingest workers so POST /v1/observe:stream drains (an unstarted
+// fleet accepts streams only until its shard queues fill, then answers
+// 429), reload models through the fleet (Promote, ReloadWorkload), and
+// Close it on shutdown.
 func NewFleet(fl *fleet.Fleet, opts Options) (*Server, error) {
 	if fl == nil {
 		return nil, fmt.Errorf("serve: nil fleet")
@@ -392,30 +349,20 @@ func NewFleet(fl *fleet.Fleet, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: fleet has no workloads")
 	}
 	opts = opts.withDefaults()
-	defaultID := opts.DefaultWorkload
-	switch {
-	case defaultID == "" && contains(ids, DefaultWorkloadID):
-		defaultID = DefaultWorkloadID
-	case defaultID == "":
-		defaultID = ids[0]
-	case !contains(ids, defaultID):
-		return nil, fmt.Errorf("serve: default workload %q is not in the fleet %v", defaultID, ids)
-	}
 	flight := opts.Flight
 	if flight == nil {
 		flight = fl.Flight()
 	}
 	s := &Server{
-		opts:      opts,
-		fleet:     fl,
-		flight:    flight,
-		defaultID: defaultID,
-		mux:       http.NewServeMux(),
-		inflight:  make(chan struct{}, opts.MaxInFlight),
-		m:         newServeMetrics(opts.Metrics),
-		log:       opts.Logger.With(obs.LogComponent, "serve"),
-		slo:       newServeSLO(opts, ids),
-		cache:     fleet.NewForecastCache(opts.ForecastCacheTTL, opts.ForecastCacheCap, opts.Metrics),
+		opts:     opts,
+		fleet:    fl,
+		flight:   flight,
+		mux:      http.NewServeMux(),
+		inflight: make(chan struct{}, opts.MaxInFlight),
+		m:        newServeMetrics(opts.Metrics),
+		log:      opts.Logger.With(obs.LogComponent, "serve"),
+		slo:      newServeSLO(opts, ids),
+		cache:    fleet.NewForecastCache(opts.ForecastCacheTTL, opts.ForecastCacheCap, opts.Metrics),
 		predict: func(ctx context.Context, m *core.Model, history []float64, steps int) ([]float64, error) {
 			return m.PredictStepsContext(ctx, history, steps)
 		},
@@ -427,15 +374,8 @@ func NewFleet(fl *fleet.Fleet, opts Options) (*Server, error) {
 		fl.OnPromote(s.cache.InvalidateWorkload)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/v1/model", func(w http.ResponseWriter, r *http.Request) {
-		s.handleModel(w, r, s.defaultID)
-	})
-	s.mux.HandleFunc("/v1/forecast", func(w http.ResponseWriter, r *http.Request) {
-		s.handleForecast(w, r, s.defaultID)
-	})
 	s.mux.HandleFunc("/v1/forecast:batch", s.handleForecastBatch)
 	s.mux.HandleFunc("/v1/observe:stream", s.handleObserveStream)
-	s.mux.HandleFunc("/v1/reload", s.handleReload)
 	s.mux.HandleFunc("/v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("/v1/workloads/{id}", func(w http.ResponseWriter, r *http.Request) {
 		s.handleWorkloadStatus(w, r, r.PathValue("id"))
@@ -458,7 +398,7 @@ func NewFleet(fl *fleet.Fleet, opts Options) (*Server, error) {
 // sloRoutes are the routes that carry availability and latency
 // objectives — the forecast paths an auto-scaler's scaling decision
 // blocks on.
-var sloRoutes = []string{"forecast", "forecast_batch", "workload_forecast", "observe_stream"}
+var sloRoutes = []string{"forecast_batch", "workload_forecast", "observe_stream"}
 
 // newServeSLO builds the server's SLO engine: per-route p99-latency and
 // 5xx-error-rate objectives over the serve.* metrics, plus one
@@ -487,52 +427,8 @@ func newServeSLO(opts Options, workloadIDs []string) *obs.SLOEngine {
 	return e
 }
 
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Fleet returns the workload registry the server routes into.
 func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
-
-// Model returns the default workload's currently served model (it may
-// change across Reload and fleet promotions).
-func (s *Server) Model() *core.Model {
-	m, _ := s.fleet.Model(s.defaultID)
-	return m
-}
-
-// Reload atomically replaces the default workload's served model:
-// re-reading Options.ModelPath when set, otherwise re-reading the fleet's
-// own snapshot. On any load or validation error the old model keeps
-// serving.
-func (s *Server) Reload() error {
-	switch {
-	case s.opts.ModelPath != "":
-		m, err := core.LoadFile(s.opts.ModelPath)
-		if err != nil {
-			s.m.reloadFailures.Inc()
-			return fmt.Errorf("serve: reload: %w", err)
-		}
-		if err := s.fleet.Promote(s.defaultID, m); err != nil {
-			s.m.reloadFailures.Inc()
-			return fmt.Errorf("serve: reload: %w", err)
-		}
-	case s.fleet.Persistent():
-		if err := s.fleet.ReloadWorkload(s.defaultID); err != nil {
-			s.m.reloadFailures.Inc()
-			return fmt.Errorf("serve: reload: %w", err)
-		}
-	default:
-		return fmt.Errorf("serve: reload unavailable: server was started without a model path")
-	}
-	s.m.reloads.Inc()
-	return nil
-}
 
 // SLO returns the server's burn-rate engine for direct sampling — tests
 // drive it with synthetic clocks, and StartTelemetry runs it on a ticker.
@@ -657,14 +553,9 @@ func requestTrace(r *http.Request) uint64 {
 }
 
 // requestWorkload names the workload a request path targets: the {id}
-// segment for fleet routes, the default workload for the alias routes,
-// empty for everything else. Used only as a log/span attribute, so an
-// unparseable path degrades to "".
-func (s *Server) requestWorkload(path string) string {
-	switch path {
-	case "/v1/model", "/v1/forecast", "/v1/reload":
-		return s.defaultID
-	}
+// segment for per-workload routes, empty for everything else. Used only as
+// a log/span attribute, so an unparseable path degrades to "".
+func requestWorkload(path string) string {
 	if rest, ok := strings.CutPrefix(path, "/v1/workloads/"); ok {
 		if i := strings.IndexByte(rest, '/'); i > 0 {
 			return rest[:i]
@@ -694,7 +585,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", reqID)
-	workload := s.requestWorkload(r.URL.Path)
+	workload := requestWorkload(r.URL.Path)
 	// With the flight recorder on, every request mints a causal trace ID:
 	// the observe handlers thread it into the fleet (so the resulting
 	// drift/rebuild chain inherits it) and the latency histogram keeps it
@@ -857,32 +748,9 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		durability = "degraded"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"default":    s.defaultID,
 		"durability": durability,
 		"workloads":  s.fleet.Statuses(),
 	})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.opts.ModelPath == "" && !s.fleet.Persistent() {
-		httpError(w, http.StatusConflict, "reload unavailable: server was started without a model path")
-		return
-	}
-	if err := s.Reload(); err != nil {
-		// The previous model keeps serving; tell the operator why the swap
-		// was refused.
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	m, ok := s.workloadModel(w, s.defaultID)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "model": modelInfo(m)})
 }
 
 // ForecastRequest is the forecast request body. History must contain at

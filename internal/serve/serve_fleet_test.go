@@ -102,16 +102,8 @@ func TestNewFleetValidation(t *testing.T) {
 	if err := fl.Add("only", fleetModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFleet(fl, Options{DefaultWorkload: "nope", Metrics: obs.NewRegistry()}); err == nil {
-		t.Fatal("missing default workload accepted")
-	}
-	s, err := NewFleet(fl, Options{Metrics: obs.NewRegistry()})
-	if err != nil {
+	if _, err := NewFleet(fl, Options{Metrics: obs.NewRegistry()}); err != nil {
 		t.Fatal(err)
-	}
-	// With no "default" workload the alias routes fall back to the first ID.
-	if s.defaultID != "only" {
-		t.Fatalf("defaultID = %q, want %q", s.defaultID, "only")
 	}
 }
 
@@ -143,18 +135,20 @@ func TestWorkloadRouting(t *testing.T) {
 		t.Fatalf("workload model info = %+v", info)
 	}
 
-	// The list endpoint reports all workloads plus the alias default.
+	// The list endpoint reports every workload and nothing else: there is
+	// no default workload.
 	resp, err = http.Get(ts.URL + "/v1/workloads")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	list := decodeBody[struct {
-		Default   string                 `json:"default"`
-		Workloads []fleet.WorkloadStatus `json:"workloads"`
-	}](t, resp)
-	if len(list.Workloads) != 3 || list.Default != "az-1h" { // first sorted ID
-		t.Fatalf("workloads list = %+v", list)
+	list := decodeBody[map[string]json.RawMessage](t, resp)
+	var statuses []fleet.WorkloadStatus
+	if err := json.Unmarshal(list["workloads"], &statuses); err != nil {
+		t.Fatal(err)
+	}
+	if len(statuses) != 3 || len(list) != 2 { // "durability" and "workloads"
+		t.Fatalf("workloads list = %s", list)
 	}
 
 	// Unknown workloads 404; invalid IDs 400.
@@ -163,34 +157,6 @@ func TestWorkloadRouting(t *testing.T) {
 	}
 	if resp := postJSON(t, ts.URL+"/v1/workloads/.bad/observe", `{"values":[1]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid workload observe status %d", resp.StatusCode)
-	}
-}
-
-func TestAliasRoutesServeDefaultWorkload(t *testing.T) {
-	ts, s, fl := newFleetServer(t, fleet.Options{}, Options{DefaultWorkload: "wiki-5m"})
-	if s.defaultID != "wiki-5m" {
-		t.Fatalf("defaultID = %q", s.defaultID)
-	}
-	want, _ := fl.Model("wiki-5m")
-	resp, err := http.Get(ts.URL + "/v1/model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	info := decodeBody[WorkloadModelInfo](t, resp)
-	if info.Workload.ID != "wiki-5m" || info.ValidationMAPE != want.ValError {
-		t.Fatalf("alias model info = %+v", info)
-	}
-	// The alias forecast records into the default workload's evaluator.
-	hist := fleetSeries(9, 24)
-	body, _ := json.Marshal(ForecastRequest{History: hist, Steps: 2})
-	if resp := postJSON(t, ts.URL+"/v1/forecast", string(body)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias forecast status %d", resp.StatusCode)
-	}
-	obsResp := postJSON(t, ts.URL+"/v1/workloads/wiki-5m/observe", `{"values":[100,100]}`)
-	st := decodeBody[fleet.Status](t, obsResp)
-	if st.Scored != 2 {
-		t.Fatalf("alias forecast not recorded for default workload: %+v", st)
 	}
 }
 
@@ -240,9 +206,6 @@ func TestForecastHistoryCapConfigurable(t *testing.T) {
 func TestRouteLabelClassification(t *testing.T) {
 	for path, want := range map[string]string{
 		"/healthz":                      "healthz",
-		"/v1/model":                     "model",
-		"/v1/forecast":                  "forecast",
-		"/v1/reload":                    "reload",
 		"/v1/workloads":                 "workloads",
 		"/v1/workloads/gl-30m/forecast": "workload_forecast",
 		"/v1/workloads/gl-30m/observe":  "workload_observe",

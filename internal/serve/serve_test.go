@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"loaddynamics/internal/core"
+	"loaddynamics/internal/fleet"
 	"loaddynamics/internal/nn"
 )
 
@@ -41,6 +42,15 @@ func testModel(t *testing.T) (*core.Model, []float64) {
 	return m, series
 }
 
+// testWorkload is the one workload newTestServerOpts serves.
+const testWorkload = "default"
+
+// forecastPath is the forecast route of the test server's workload.
+const forecastPath = "/v1/workloads/" + testWorkload + "/forecast"
+
+// newTestServerOpts serves testModel as a one-workload memory-only fleet.
+// The fleet shares the server's registry, logger and flight recorder, and
+// is closed when the test ends.
 func newTestServerOpts(t *testing.T, opts Options) (*httptest.Server, *Server, *core.Model, []float64) {
 	t.Helper()
 	m, series := testModel(t)
@@ -48,7 +58,15 @@ func newTestServerOpts(t *testing.T, opts Options) (*httptest.Server, *Server, *
 		// Keep per-request access logs out of test output.
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s, err := New(m, opts)
+	fl, err := fleet.Open(fleet.Options{Metrics: opts.Metrics, Logger: opts.Logger, Flight: opts.Flight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fl.Close)
+	if err := fl.Add(testWorkload, m); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFleet(fl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +81,23 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Model, []float64) {
 	return ts, m, series
 }
 
+// TestNewRejectsNilModel checks a server cannot be built around a missing
+// model: the fleet refuses a nil model, and a server refuses a nil fleet or
+// one that serves no model.
 func TestNewRejectsNilModel(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	fl, err := fleet.Open(fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	if err := fl.Add(testWorkload, nil); err == nil {
 		t.Fatal("expected error for nil model")
+	}
+	if _, err := NewFleet(fl, Options{}); err == nil {
+		t.Fatal("expected error for a fleet with no model")
+	}
+	if _, err := NewFleet(nil, Options{}); err == nil {
+		t.Fatal("expected error for nil fleet")
 	}
 }
 
@@ -99,7 +131,7 @@ func TestHealthz(t *testing.T) {
 
 func TestModelEndpoint(t *testing.T) {
 	ts, m, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/model")
+	resp, err := http.Get(ts.URL + "/v1/workloads/" + testWorkload + "/model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +151,7 @@ func postForecast(t *testing.T, url string, req ForecastRequest) (*http.Response
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/forecast", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+forecastPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +221,7 @@ func TestForecastValidation(t *testing.T) {
 	// non-finite history literals (JSON cannot represent NaN/Inf, so these
 	// must die in decoding with a 400, never reach the model).
 	for _, raw := range []string{"{", `{"history":[1,2,NaN],"steps":1}`, `{"history":[1,2,1e999],"steps":1}`} {
-		resp, err := http.Post(ts.URL+"/v1/forecast", "application/json", strings.NewReader(raw))
+		resp, err := http.Post(ts.URL+forecastPath, "application/json", strings.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,13 +231,13 @@ func TestForecastValidation(t *testing.T) {
 		}
 	}
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/v1/forecast")
+	resp, err := http.Get(ts.URL + forecastPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/forecast: status %d", resp.StatusCode)
+		t.Fatalf("GET %s: status %d", forecastPath, resp.StatusCode)
 	}
 }
 
@@ -310,12 +342,11 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	}
 }
 
-// reloadFixture saves the primary model to disk and returns a server
-// configured to reload from that path, plus a differently-shaped second
-// model to swap in.
+// reloadFixture returns the test server plus a differently-shaped second
+// model saved to the path reloadFromFile reads.
 func reloadFixture(t *testing.T) (*httptest.Server, *Server, *core.Model, *core.Model, string, []float64) {
 	t.Helper()
-	m, series := testModel(t)
+	ts, s, m, series := newTestServerOpts(t, Options{})
 	tc := nn.DefaultTrainConfig()
 	tc.Epochs = 10
 	tc.Patience = 2
@@ -325,32 +356,28 @@ func reloadFixture(t *testing.T) (*httptest.Server, *Server, *core.Model, *core.
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(m, Options{ModelPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return ts, s, m, m2, path, series
-}
-
-func TestReloadSwapsModelAtomically(t *testing.T) {
-	ts, _, _, m2, path, _ := reloadFixture(t)
 	if err := m2.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
+	return ts, s, m, m2, path, series
+}
+
+// reloadFromFile hot-reloads the test workload the way loadserve does on
+// SIGHUP: load the file, then promote it through the fleet.
+func reloadFromFile(s *Server, path string) error {
+	m, err := core.LoadFile(path)
 	if err != nil {
+		return err
+	}
+	return s.Fleet().Promote(testWorkload, m)
+}
+
+func TestReloadSwapsModelAtomically(t *testing.T) {
+	ts, s, _, m2, path, _ := reloadFixture(t)
+	if err := reloadFromFile(s, path); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload status %d", resp.StatusCode)
-	}
-	infoResp, err := http.Get(ts.URL + "/v1/model")
+	infoResp, err := http.Get(ts.URL + "/v1/workloads/" + testWorkload + "/model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,17 +392,19 @@ func TestReloadSwapsModelAtomically(t *testing.T) {
 }
 
 func TestReloadKeepsOldModelOnCorruptFile(t *testing.T) {
-	ts, _, m, _, path, series := reloadFixture(t)
-	if err := os.WriteFile(path, []byte(`{"version":1,"garbage":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
+	ts, s, m, _, path, series := reloadFixture(t)
+	_, before, err := s.Fleet().ModelWithVersion(testWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("reload of corrupt file: status %d, want 500", resp.StatusCode)
+	if err := os.WriteFile(path, []byte(`{"version":1,"garbage":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reloadFromFile(s, path); err == nil {
+		t.Fatal("reload of corrupt file succeeded")
+	}
+	if _, after, err := s.Fleet().ModelWithVersion(testWorkload); err != nil || after != before {
+		t.Fatalf("version after failed reload = %d (err %v), want %d", after, err, before)
 	}
 	// The old model must keep serving.
 	fResp, out := postForecast(t, ts.URL, ForecastRequest{History: series, Steps: 1})
@@ -391,33 +420,11 @@ func TestReloadKeepsOldModelOnCorruptFile(t *testing.T) {
 	}
 }
 
-func TestReloadMethodAndAvailability(t *testing.T) {
-	ts, _, _ := newTestServer(t) // no ModelPath → reload unavailable
-	resp, err := http.Post(ts.URL+"/v1/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("reload without model path: status %d, want 409", resp.StatusCode)
-	}
-	getResp, err := http.Get(ts.URL + "/v1/reload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/reload: status %d, want 405", getResp.StatusCode)
-	}
-}
-
-// TestConcurrentForecastAndReload hammers forecasts while hot-reloading the
-// model — run under -race it proves the atomic swap never tears a request.
+// TestConcurrentForecastAndReload hammers forecasts while hot-reloading a
+// differently-shaped model from disk through the fleet — run under -race it
+// proves the atomic swap never tears a request.
 func TestConcurrentForecastAndReload(t *testing.T) {
-	ts, s, _, m2, path, series := reloadFixture(t)
-	if err := m2.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	ts, s, _, _, path, series := reloadFixture(t)
 	const workers, perWorker = 4, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -443,7 +450,7 @@ func TestConcurrentForecastAndReload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 16; i++ {
-			if err := s.Reload(); err != nil {
+			if err := reloadFromFile(s, path); err != nil {
 				t.Errorf("reload: %v", err)
 				return
 			}

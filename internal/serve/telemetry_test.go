@@ -40,7 +40,7 @@ func TestAdminPrometheusExposition(t *testing.T) {
 	ts, s, m, series := newTestServerOpts(t, Options{Metrics: reg})
 	// Generate some real traffic so the exposition carries live series.
 	body := forecastBody(t, series[:m.HP.HistoryLen], 3)
-	resp, err := http.Post(ts.URL+"/v1/forecast", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+forecastPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestAdminPrometheusExposition(t *testing.T) {
 		// The same strict parser the renderer's own tests use must accept
 		// a live scrape.
 		values, hists := expotest.Verify(t, rec.Body.String())
-		if got := values["serve_requests_forecast_total"]; got != 1 {
+		if got := values["serve_requests_workload_forecast_total"]; got != 1 {
 			t.Errorf("GET %s: forecast request counter = %v, want 1", path, got)
 		}
-		if h := hists["serve_latency_seconds_forecast"]; h == nil || h.Count != 1 {
+		if h := hists["serve_latency_seconds_workload_forecast"]; h == nil || h.Count != 1 {
 			t.Errorf("GET %s: latency histogram missing or empty", path)
 		}
 	}
@@ -80,7 +80,7 @@ func TestRequestIDCorrelatesLogAndTrace(t *testing.T) {
 		Metrics: obs.NewRegistry(), Logger: lg, Trace: trace,
 	})
 	body := forecastBody(t, series[:m.HP.HistoryLen], 1)
-	resp, err := http.Post(ts.URL+"/v1/forecast", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+forecastPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +107,14 @@ func TestRequestIDCorrelatesLogAndTrace(t *testing.T) {
 		t.Fatalf("request ID %q not found in logs:\n%s", reqID, logBuf.String())
 	}
 	for key, want := range map[string]any{
-		"component": "serve", "route": "forecast", "status": 200.0, "msg": "request",
+		"component": "serve", "route": "workload_forecast", "status": 200.0, "msg": "request",
 	} {
 		if logged[key] != want {
 			t.Errorf("log[%q] = %v, want %v", key, logged[key], want)
 		}
 	}
-	if logged["workload"] != DefaultWorkloadID {
-		t.Errorf("log workload = %v, want %q", logged["workload"], DefaultWorkloadID)
+	if logged["workload"] != testWorkload {
+		t.Errorf("log workload = %v, want %q", logged["workload"], testWorkload)
 	}
 	if _, ok := logged["duration_ms"].(float64); !ok {
 		t.Errorf("log duration_ms = %v, want a number", logged["duration_ms"])
@@ -132,8 +132,8 @@ func TestRequestIDCorrelatesLogAndTrace(t *testing.T) {
 	if span == nil {
 		t.Fatalf("request ID %q not found on any serve.request span", reqID)
 	}
-	if got := span.Attr("route"); got != "forecast" {
-		t.Errorf("span route = %v, want forecast", got)
+	if got := span.Attr("route"); got != "workload_forecast" {
+		t.Errorf("span route = %v, want workload_forecast", got)
 	}
 	if got := span.Attr("status"); got != 200 && got != 200.0 {
 		t.Errorf("span status = %v, want 200", got)
@@ -201,8 +201,8 @@ func TestHealthEndpointFollowsBurnRate(t *testing.T) {
 	}
 
 	// Induce a fast burn: half of forecast traffic 5xx against a 1% budget.
-	reg.Counter("serve.requests.forecast").Add(100)
-	reg.Counter("serve.errors.forecast").Add(50)
+	reg.Counter("serve.requests.workload_forecast").Add(100)
+	reg.Counter("serve.errors.workload_forecast").Add(50)
 	now = now.Add(time.Minute)
 	s.SLO().Sample(now)
 	rec := adminGet(t, admin, "/debug/health")
@@ -219,8 +219,8 @@ func TestHealthEndpointFollowsBurnRate(t *testing.T) {
 	if failing.Status != "failing" || len(failing.Firing) == 0 {
 		t.Errorf("503 body: %+v", failing)
 	}
-	if f := failing.Firing[0]; f != "availability:forecast" {
-		t.Errorf("firing objective %q, want availability:forecast", f)
+	if f := failing.Firing[0]; f != "availability:workload_forecast" {
+		t.Errorf("firing objective %q, want availability:workload_forecast", f)
 	}
 
 	// /debug/slo reports the same state machine-readably.
@@ -234,7 +234,7 @@ func TestHealthEndpointFollowsBurnRate(t *testing.T) {
 	}
 	found := false
 	for _, o := range slo.Objectives {
-		if o.Name == "availability:forecast" {
+		if o.Name == "availability:workload_forecast" {
 			found = true
 			if o.State != obs.BurnFast {
 				t.Errorf("/debug/slo state %s, want fast_burn", o.State)
@@ -248,10 +248,10 @@ func TestHealthEndpointFollowsBurnRate(t *testing.T) {
 	// Recovery: the burst ages out of the slow window and clean traffic
 	// resumes → health returns to 200.
 	now = now.Add(2 * time.Hour)
-	reg.Counter("serve.requests.forecast").Add(100)
+	reg.Counter("serve.requests.workload_forecast").Add(100)
 	s.SLO().Sample(now)
 	now = now.Add(time.Minute)
-	reg.Counter("serve.requests.forecast").Add(100)
+	reg.Counter("serve.requests.workload_forecast").Add(100)
 	s.SLO().Sample(now)
 	if rec := adminGet(t, admin, "/debug/health"); rec.Code != http.StatusOK {
 		t.Fatalf("after recovery: health status %d: %s", rec.Code, rec.Body.String())
@@ -265,7 +265,7 @@ func TestServerSLOCoversDriftGauges(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	// A workload whose rolling MAPE sustains far above the drift objective
 	// pages through the same burn-rate path as a latency regression.
-	reg.Gauge("fleet.rolling_mape_pct." + DefaultWorkloadID).Set(900)
+	reg.Gauge("fleet.rolling_mape_pct." + testWorkload).Set(900)
 	s.SLO().Sample(now)
 	now = now.Add(time.Minute)
 	s.SLO().Sample(now)
@@ -273,7 +273,7 @@ func TestServerSLOCoversDriftGauges(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("drifted workload: health status %d, want 503: %s", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), "drift:"+DefaultWorkloadID) {
+	if !strings.Contains(rec.Body.String(), "drift:"+testWorkload) {
 		t.Errorf("503 body does not name the drift objective: %s", rec.Body.String())
 	}
 }

@@ -32,7 +32,7 @@ echo "== tier-1: tests =="
 go test ./...
 
 echo "== tier-1: race detector =="
-go test -race -timeout 1800s ./internal/bo ./internal/gp ./internal/mat ./internal/nn ./internal/serve ./internal/core ./internal/obs ./internal/fleet ./internal/wal ./internal/loadgen ./internal/profile
+go test -race -timeout 1800s ./internal/bo ./internal/gp ./internal/mat ./internal/nn ./internal/serve ./internal/core ./internal/obs ./internal/fleet ./internal/wal ./internal/loadgen ./internal/profile ./cmd/loadserve
 
 echo "== fuzz seed corpora (regression mode) =="
 go test -run 'Fuzz' ./internal/core ./internal/serve ./internal/obs ./internal/wal ./internal/profile
