@@ -6,6 +6,8 @@
 package fleet
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,5 +80,89 @@ func TestStreamIngestZeroAlloc(t *testing.T) {
 	})
 	if allocs >= 1 {
 		t.Fatalf("stream ingest path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStreamIngestRecordFlightZeroAlloc is TestStreamIngestZeroAlloc with
+// the flight recorder on (the BenchmarkStreamIngestRecordFlight loop):
+// trace minting and the observe.batch event store a fixed-size ring slot,
+// so causal tracing adds no allocation to streaming ingest.
+func TestStreamIngestRecordFlightZeroAlloc(t *testing.T) {
+	f := benchFleetFlight(t, obs.NewFlightRecorder(obs.FlightRecorderOptions{}))
+	actuals := []float64{99, 103, 100, 105}
+	sh := f.get("c").shard
+	f.RecordForecast("c", []float64{100, 101, 102, 103})
+	for i := 0; i < 4; i++ {
+		if err := f.EnqueueObserve("c", actuals); err != nil {
+			t.Fatal(err)
+		}
+		f.drainChunk(sh, <-sh.queue)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := f.EnqueueObserve("c", actuals); err != nil {
+			t.Fatal(err)
+		}
+		f.drainChunk(sh, <-sh.queue)
+	})
+	if allocs >= 1 {
+		t.Fatalf("stream ingest with the flight recorder allocates %.1f allocs/op, want 0", allocs)
+	}
+	if n := len(f.Flight().Events("c")); n == 0 {
+		t.Fatal("no observe.batch events recorded")
+	}
+}
+
+// TestObservePathRecordFlightZeroAlloc is TestObservePathZeroAlloc with
+// the flight recorder on.
+func TestObservePathRecordFlightZeroAlloc(t *testing.T) {
+	f := benchFleetFlight(t, obs.NewFlightRecorder(obs.FlightRecorderOptions{}))
+	horizon := []float64{100, 101, 102, 103}
+	actuals := []float64{99, 103, 100, 105}
+	f.RecordForecast("c", horizon)
+	if _, err := f.Observe("c", actuals); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		f.RecordForecast("c", horizon)
+		if _, err := f.Observe("c", actuals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("observe path with the flight recorder allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestFlightRingFootprint bounds the recorder's resident heap: 256
+// workloads with full 256-event rings of observe.batch events, recorded
+// the way noteIngest records them (one request ID shared by a request's
+// records), must cost at most 128 heap bytes per resident event.
+func TestFlightRingFootprint(t *testing.T) {
+	const workloads, perRing = 256, 256
+	ids := make([]string, workloads)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("wl-%03d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := obs.NewFlightRecorder(obs.FlightRecorderOptions{Cap: perRing})
+	for i := 0; i < perRing; i++ {
+		reqID := fmt.Sprintf("stream-%06d", i)
+		for j, id := range ids {
+			r.RecordBatch(id, obs.TraceCtx{Trace: r.NewTrace(), RequestID: reqID},
+				obs.IngestAttrs{Accepted: 1, Scored: 1, Samples: i, RollingMAPE: float64(j) / 7}, false)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := r.Stats(); st.Workloads[ids[0]] != perRing || len(st.Workloads) != workloads {
+		t.Fatalf("rings not full: %d workloads, %d events in %s", len(st.Workloads), st.Workloads[ids[0]], ids[0])
+	}
+	perEvent := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (workloads * perRing)
+	runtime.KeepAlive(r)
+	t.Logf("flight recorder: %.1f heap bytes per resident event", perEvent)
+	if perEvent > 128 {
+		t.Fatalf("flight recorder holds %.1f heap bytes per resident event, want <= 128", perEvent)
 	}
 }

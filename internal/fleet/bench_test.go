@@ -10,12 +10,16 @@ import (
 	"loaddynamics/internal/wal"
 )
 
-func benchFleet(b testing.TB) *Fleet {
+func benchFleet(b testing.TB) *Fleet { return benchFleetFlight(b, nil) }
+
+// benchFleetFlight is benchFleet with the given flight recorder.
+func benchFleetFlight(b testing.TB, flight *obs.FlightRecorder) *Fleet {
 	b.Helper()
 	opts := testOptions(b, "")
 	// A fully disabled handler (not just io.Discard) so the benchmarks
 	// measure the fleet data path, not slog formatting.
 	opts.Logger = slog.New(slog.DiscardHandler)
+	opts.Flight = flight
 	f, err := Open(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -186,19 +190,10 @@ func BenchmarkStreamIngestRecord(b *testing.B) {
 // the flight recorder on: every record mints a trace and lands an
 // observe.batch event in the workload's ring. The delta against the
 // recorder-off benchmark is the whole cost of causal tracing on the
-// streaming hot path; the recorder-off run must stay at 0 allocs/op
-// (benchdiff gates it).
+// streaming hot path; both runs stay at 0 allocs/op
+// (TestStreamIngestRecordFlightZeroAlloc pins this one).
 func BenchmarkStreamIngestRecordFlight(b *testing.B) {
-	opts := testOptions(b, "")
-	opts.Logger = slog.New(slog.DiscardHandler)
-	opts.Flight = obs.NewFlightRecorder(obs.FlightRecorderOptions{})
-	f, err := Open(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Add("c", tinyModel(b, 1)); err != nil {
-		b.Fatal(err)
-	}
+	f := benchFleetFlight(b, obs.NewFlightRecorder(obs.FlightRecorderOptions{}))
 	sh := f.get("c").shard
 	actuals := []float64{99, 103, 100, 105}
 	f.RecordForecast("c", []float64{100, 101, 102, 103})

@@ -248,48 +248,19 @@ func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live b
 	// when quiet, forced on drift transitions so chains never lose their
 	// anchor), plus a drift verdict event parented on the batch. Replay
 	// (live=false) records nothing — it reconstructs state, not history.
-	transition := st.Drift != wasDrift
+	// The typed entry points store fixed-size slots: no map, no allocation.
+	attrs := obs.IngestAttrs{Accepted: st.Accepted, Scored: st.Scored,
+		Samples: st.Samples, RollingMAPE: st.RollingMAPE, ValError: valErr}
 	var batchID, driftID uint64
-	if live && f.flight != nil {
-		ev := obs.FlightEvent{
-			Trace:     obs.HexID(tc.Trace),
-			Parent:    obs.HexID(tc.Parent),
-			Workload:  e.id,
-			Kind:      obs.FlightObserveBatch,
-			Outcome:   obs.OutcomeOK,
-			RequestID: tc.RequestID,
-			Attrs: map[string]any{
-				"accepted":     st.Accepted,
-				"scored":       st.Scored,
-				"samples":      st.Samples,
-				"rolling_mape": st.RollingMAPE,
-			},
-		}
-		if transition {
-			batchID = f.flight.Record(ev)
-		} else {
-			batchID = f.flight.RecordSampled(ev)
-		}
+	if live {
+		batchID = f.flight.RecordBatch(e.id, tc, attrs, st.Drift != wasDrift)
 	}
+	batchTC := obs.TraceCtx{Trace: tc.Trace, Parent: batchID, RequestID: tc.RequestID}
 	switch {
 	case st.Drift && !wasDrift:
 		f.m.drift.Inc()
 		if live {
-			if f.flight != nil {
-				driftID = f.flight.Record(obs.FlightEvent{
-					Trace:     obs.HexID(tc.Trace),
-					Parent:    obs.HexID(batchID),
-					Workload:  e.id,
-					Kind:      obs.FlightDriftDetected,
-					Outcome:   "drift",
-					RequestID: tc.RequestID,
-					Attrs: map[string]any{
-						"rolling_mape": st.RollingMAPE,
-						"val_error":    valErr,
-						"samples":      st.Samples,
-					},
-				})
-			}
+			driftID = f.flight.RecordDrift(e.id, batchTC, attrs, true)
 			f.log.Warn("drift detected",
 				obs.LogWorkload, e.id,
 				"rolling_mape", st.RollingMAPE,
@@ -298,20 +269,7 @@ func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live b
 		}
 	case !st.Drift && wasDrift:
 		if live {
-			if f.flight != nil {
-				f.flight.Record(obs.FlightEvent{
-					Trace:     obs.HexID(tc.Trace),
-					Parent:    obs.HexID(batchID),
-					Workload:  e.id,
-					Kind:      obs.FlightDriftCleared,
-					Outcome:   obs.OutcomeOK,
-					RequestID: tc.RequestID,
-					Attrs: map[string]any{
-						"rolling_mape": st.RollingMAPE,
-						"samples":      st.Samples,
-					},
-				})
-			}
+			f.flight.RecordDrift(e.id, batchTC, attrs, false)
 			f.log.Info("drift cleared",
 				obs.LogWorkload, e.id,
 				"rolling_mape", st.RollingMAPE,
@@ -332,15 +290,9 @@ func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live b
 			e.driftParent.Store(parent)
 		}
 		st.RebuildQueued = f.enqueueRebuild(e)
-		if st.RebuildQueued && f.flight != nil {
-			f.flight.Record(obs.FlightEvent{
-				Trace:     obs.HexID(tc.Trace),
-				Parent:    obs.HexID(parent),
-				Workload:  e.id,
-				Kind:      obs.FlightRebuildEnqueued,
-				Outcome:   obs.OutcomeOK,
-				RequestID: tc.RequestID,
-			})
+		if st.RebuildQueued {
+			f.flight.RecordRebuildEnqueued(e.id,
+				obs.TraceCtx{Trace: tc.Trace, Parent: parent, RequestID: tc.RequestID})
 		}
 	}
 }

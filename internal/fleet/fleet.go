@@ -180,8 +180,8 @@ type Options struct {
 	Trace *obs.Trace
 	// Flight, when non-nil, records per-workload causal event timelines
 	// (observe batch → drift → rebuild → promotion) into a bounded
-	// in-memory ring. Nil disables flight recording; the ingest hot path
-	// then pays a single nil check and stays allocation-free.
+	// in-memory ring. Nil disables flight recording. Either way the
+	// ingest hot path stays allocation-free.
 	Flight *obs.FlightRecorder
 	// Logger receives structured lifecycle events (obs schema): drift
 	// verdict transitions, rebuild start/outcome, promotions and

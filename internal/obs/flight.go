@@ -15,8 +15,14 @@ package obs
 // can be tail-sampled (SampleEvery), and nothing is persisted — this is
 // a flight recorder, not a log. A nil *FlightRecorder is a valid
 // disabled recorder: every method no-ops and returns zero values, so
-// instrumented code pays one nil check and the hot ingest path stays
-// allocation-free when recording is off.
+// instrumented code pays one nil check when recording is off.
+//
+// Rings hold fixed-size slots, not FlightEvents: IDs, time and typed
+// attributes as numbers, kind and outcome as table indices. The hot
+// ingest events (RecordBatch, RecordDrift, RecordRebuildEnqueued) store
+// a slot without allocating; rare events recorded through Record keep
+// their free-form attribute map behind one pointer. Events rebuilds
+// FlightEvents — and callers their JSON — only when a timeline is read.
 //
 // Trace and event IDs are minted from a process-local seed drawn once
 // from crypto/rand plus an atomic counter. The recorder never touches
@@ -67,15 +73,16 @@ func (h HexID) MarshalJSON() ([]byte, error) {
 	return strconv.AppendQuote(nil, h.String()), nil
 }
 
-// UnmarshalJSON parses the hex form (legacy decimal numbers also parse).
+// UnmarshalJSON parses the hex string form; a legacy unquoted JSON
+// number parses as decimal.
 func (h *HexID) UnmarshalJSON(b []byte) error {
-	s := string(b)
+	s, base := string(b), 10
 	if unq, err := strconv.Unquote(s); err == nil {
-		s = unq
+		s, base = unq, 16
 	}
-	v, err := strconv.ParseUint(s, 16, 64)
+	v, err := strconv.ParseUint(s, base, 64)
 	if err != nil {
-		return fmt.Errorf("obs: invalid hex id %q: %w", s, err)
+		return fmt.Errorf("obs: invalid id %s: %w", b, err)
 	}
 	*h = HexID(v)
 	return nil
@@ -120,13 +127,115 @@ type FlightEvent struct {
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
+// IngestAttrs is the typed attribute block of the hot ingest events
+// (observe.batch, drift.detected, drift.cleared): what the evaluator
+// knows once it has applied an observation batch. Recording it costs no
+// allocation; Events renders it as the event's Attrs map.
+type IngestAttrs struct {
+	Accepted    int
+	Scored      int
+	Samples     int
+	RollingMAPE float64
+	ValError    float64
+}
+
+// flightKinds and flightOutcomes are the slot encodings of an event's
+// Kind and Outcome: a slot stores the string's index, and index 0 means
+// "not in the table" (the string then lives in the slot's rare block).
+var (
+	flightKinds = [...]string{"",
+		FlightObserveBatch, FlightDriftDetected, FlightDriftCleared,
+		FlightRebuildEnqueued, FlightRebuildStarted, FlightRebuildPromoted,
+		FlightRebuildRejected, FlightRebuildFailed, FlightRebuildTimeout,
+		FlightRebuildCancel, FlightWALDegraded}
+	flightOutcomes = [...]string{"",
+		OutcomeOK, "drift", "rejected", OutcomeFailed, OutcomeTimeout,
+		OutcomeCancelled, OutcomeDiverged}
+)
+
+// Table indices of the typed hot events' kinds and outcomes.
+const (
+	kindObserveBatch    = 1
+	kindDriftDetected   = 2
+	kindDriftCleared    = 3
+	kindRebuildEnqueued = 4
+	outcomeOK           = 1
+	outcomeDrift        = 2
+)
+
+func tableIndex(table []string, s string) uint8 {
+	for i := 1; i < len(table); i++ {
+		if table[i] == s {
+			return uint8(i)
+		}
+	}
+	return 0
+}
+
+// flightSlot is one resident event: fixed-size and, for the typed hot
+// events, free of pointers other than the request ID (which shares the
+// admitting request's backing array). The workload is the ring's.
+type flightSlot struct {
+	id, trace, parent uint64
+	nanos             int64 // wall clock, Unix nanoseconds
+	kind, outcome     uint8 // indices into flightKinds / flightOutcomes
+	attrs             IngestAttrs
+	requestID         string
+	// rare is nil for typed events; events recorded through Record keep
+	// their free-form attributes (and any kind or outcome off the tables)
+	// here.
+	rare *flightRare
+}
+
+type flightRare struct {
+	kind, outcome string // used only when the slot's index is 0
+	attrs         map[string]any
+}
+
+// event rebuilds the FlightEvent a slot encodes.
+func (s *flightSlot) event(workload string) FlightEvent {
+	ev := FlightEvent{
+		ID:        HexID(s.id),
+		Trace:     HexID(s.trace),
+		Parent:    HexID(s.parent),
+		Workload:  workload,
+		Kind:      flightKinds[s.kind],
+		Outcome:   flightOutcomes[s.outcome],
+		RequestID: s.requestID,
+		Time:      time.Unix(0, s.nanos),
+	}
+	if s.rare != nil {
+		if s.kind == 0 {
+			ev.Kind = s.rare.kind
+		}
+		if s.outcome == 0 {
+			ev.Outcome = s.rare.outcome
+		}
+		ev.Attrs = s.rare.attrs
+		return ev
+	}
+	a := &s.attrs
+	switch s.kind {
+	case kindObserveBatch:
+		ev.Attrs = map[string]any{"accepted": a.Accepted, "scored": a.Scored,
+			"samples": a.Samples, "rolling_mape": a.RollingMAPE}
+	case kindDriftDetected:
+		ev.Attrs = map[string]any{"rolling_mape": a.RollingMAPE,
+			"val_error": a.ValError, "samples": a.Samples}
+	case kindDriftCleared:
+		ev.Attrs = map[string]any{"rolling_mape": a.RollingMAPE, "samples": a.Samples}
+	}
+	return ev
+}
+
 // flightRing is one workload's bounded event buffer. Each ring has its
 // own mutex so hot workloads do not serialize against each other.
 type flightRing struct {
-	mu     sync.Mutex
-	events []FlightEvent
-	next   int
-	n      int // total recorded (resident = min(n, cap))
+	workload string
+	mu       sync.Mutex
+	slots    []flightSlot
+	next     int
+	n        int // total recorded (resident = min(n, cap))
 	// routine counts sampleable events admitted so far; drives the
 	// 1-in-SampleEvery tail-sampling decision deterministically.
 	routine int64
@@ -148,6 +257,7 @@ type FlightRecorderOptions struct {
 type FlightRecorder struct {
 	cap         int
 	sampleEvery int64
+	clock       func() int64 // Unix nanoseconds stamped on recorded events
 
 	seq     atomic.Uint64 // event-ID counter
 	sampled atomic.Int64  // routine events dropped by tail sampling
@@ -167,6 +277,7 @@ func NewFlightRecorder(opts FlightRecorderOptions) *FlightRecorder {
 	return &FlightRecorder{
 		cap:         opts.Cap,
 		sampleEvery: int64(opts.SampleEvery),
+		clock:       func() int64 { return time.Now().UnixNano() },
 		rings:       map[string]*flightRing{},
 	}
 }
@@ -222,21 +333,23 @@ func (r *FlightRecorder) ring(workload string) *flightRing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if fr = r.rings[workload]; fr == nil {
-		fr = &flightRing{events: make([]FlightEvent, r.cap)}
+		fr = &flightRing{workload: workload, slots: make([]flightSlot, r.cap)}
 		r.rings[workload] = fr
 	}
 	return fr
 }
 
 // Record appends one event unconditionally and returns its ID (0 when
-// disabled). The recorder assigns ID and Time; the caller provides
-// everything else. The event's ID is the causal handle downstream
-// stages use as Parent.
+// disabled). The recorder assigns ID, and Time when the caller left it
+// zero; the caller provides everything else. The event's ID is the
+// causal handle downstream stages use as Parent. Record is for rare
+// events with free-form attributes; the hot ingest events have typed
+// entry points (RecordBatch, RecordDrift, RecordRebuildEnqueued).
 func (r *FlightRecorder) Record(ev FlightEvent) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.record(r.ring(ev.Workload), ev)
+	return r.recordEvent(ev, false)
 }
 
 // RecordSampled appends a routine event subject to tail sampling: with
@@ -248,36 +361,98 @@ func (r *FlightRecorder) RecordSampled(ev FlightEvent) uint64 {
 	if r == nil {
 		return 0
 	}
-	fr := r.ring(ev.Workload)
-	if r.sampleEvery > 1 {
-		fr.mu.Lock()
+	return r.recordEvent(ev, true)
+}
+
+func (r *FlightRecorder) recordEvent(ev FlightEvent, sampled bool) uint64 {
+	s := flightSlot{
+		trace:     uint64(ev.Trace),
+		parent:    uint64(ev.Parent),
+		kind:      tableIndex(flightKinds[:], ev.Kind),
+		outcome:   tableIndex(flightOutcomes[:], ev.Outcome),
+		requestID: ev.RequestID,
+		rare:      &flightRare{attrs: ev.Attrs},
+	}
+	if s.kind == 0 {
+		s.rare.kind = ev.Kind
+	}
+	if s.outcome == 0 {
+		s.rare.outcome = ev.Outcome
+	}
+	stamp := ev.Time.IsZero()
+	if !stamp {
+		s.nanos = ev.Time.UnixNano()
+	}
+	return r.record(r.ring(ev.Workload), &s, sampled, stamp)
+}
+
+// RecordBatch records an observe.batch event for one applied observation
+// batch: trace, parent and request ID come from tc. The event is
+// tail-sampled unless forced — a batch that fired a drift transition
+// anchors its chain and must land. Returns the event ID (0 when sampled
+// away or disabled).
+func (r *FlightRecorder) RecordBatch(workload string, tc TraceCtx, a IngestAttrs, forced bool) uint64 {
+	if r == nil {
+		return 0
+	}
+	s := flightSlot{trace: tc.Trace, parent: tc.Parent, kind: kindObserveBatch,
+		outcome: outcomeOK, attrs: a, requestID: tc.RequestID}
+	return r.record(r.ring(workload), &s, !forced, true)
+}
+
+// RecordDrift records a drift transition, always: drift.detected
+// (outcome "drift") when detected, else drift.cleared. tc.Parent is the
+// batch event that fired it.
+func (r *FlightRecorder) RecordDrift(workload string, tc TraceCtx, a IngestAttrs, detected bool) uint64 {
+	if r == nil {
+		return 0
+	}
+	s := flightSlot{trace: tc.Trace, parent: tc.Parent, kind: kindDriftCleared,
+		outcome: outcomeOK, attrs: a, requestID: tc.RequestID}
+	if detected {
+		s.kind, s.outcome = kindDriftDetected, outcomeDrift
+	}
+	return r.record(r.ring(workload), &s, false, true)
+}
+
+// RecordRebuildEnqueued records a rebuild.enqueued event, always, parented
+// on tc.Parent (the drift or batch event that queued the rebuild).
+func (r *FlightRecorder) RecordRebuildEnqueued(workload string, tc TraceCtx) uint64 {
+	if r == nil {
+		return 0
+	}
+	s := flightSlot{trace: tc.Trace, parent: tc.Parent, kind: kindRebuildEnqueued,
+		outcome: outcomeOK, requestID: tc.RequestID}
+	return r.record(r.ring(workload), &s, false, true)
+}
+
+// record stores s in the ring under one lock hold: the tail-sampling
+// decision (sampled events only), the event ID and, when stamp is set,
+// the wall-clock time.
+func (r *FlightRecorder) record(fr *flightRing, s *flightSlot, sampled, stamp bool) uint64 {
+	fr.mu.Lock()
+	if sampled && r.sampleEvery > 1 {
 		fr.routine++
-		keep := fr.routine%r.sampleEvery == 1
-		fr.mu.Unlock()
-		if !keep {
+		if fr.routine%r.sampleEvery != 1 {
+			fr.mu.Unlock()
 			r.sampled.Add(1)
 			return 0
 		}
 	}
-	return r.record(fr, ev)
-}
-
-func (r *FlightRecorder) record(fr *flightRing, ev FlightEvent) uint64 {
-	id := r.seq.Add(1)
-	ev.ID = HexID(id)
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
+	s.id = r.seq.Add(1)
+	if stamp {
+		s.nanos = r.clock()
 	}
-	fr.mu.Lock()
-	fr.events[fr.next] = ev
-	fr.next = (fr.next + 1) % len(fr.events)
+	fr.slots[fr.next] = *s
+	fr.next = (fr.next + 1) % len(fr.slots)
 	fr.n++
 	fr.mu.Unlock()
-	return id
+	return s.id
 }
 
 // Events returns the workload's recorded events, oldest first (nil when
-// disabled or unknown).
+// disabled or unknown). Events are rebuilt from the ring's slots on each
+// call; recording never builds a FlightEvent.
 func (r *FlightRecorder) Events(workload string) []FlightEvent {
 	if r == nil {
 		return nil
@@ -288,20 +463,28 @@ func (r *FlightRecorder) Events(workload string) []FlightEvent {
 	if fr == nil {
 		return nil
 	}
+	// Copy the slots under the lock and build the events (and their
+	// attribute maps) after releasing it, so readers barely block writers.
 	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	n := fr.n
-	if n > len(fr.events) {
-		n = len(fr.events)
-	}
-	out := make([]FlightEvent, 0, n)
-	if fr.n > len(fr.events) { // wrapped: oldest sits at next
-		out = append(out, fr.events[fr.next:]...)
-		out = append(out, fr.events[:fr.next]...)
+	n := fr.resident()
+	slots := make([]flightSlot, 0, n)
+	if fr.n > len(fr.slots) { // wrapped: oldest sits at next
+		slots = append(slots, fr.slots[fr.next:]...)
+		slots = append(slots, fr.slots[:fr.next]...)
 	} else {
-		out = append(out, fr.events[:n]...)
+		slots = append(slots, fr.slots[:n]...)
+	}
+	fr.mu.Unlock()
+	out := make([]FlightEvent, n)
+	for i := range slots {
+		out[i] = slots[i].event(fr.workload)
 	}
 	return out
+}
+
+// resident is the number of events the ring holds (callers hold fr.mu).
+func (fr *flightRing) resident() int {
+	return min(fr.n, len(fr.slots))
 }
 
 // Workloads returns the IDs with at least one recorded event, sorted.
@@ -351,10 +534,7 @@ func (r *FlightRecorder) Stats() FlightStats {
 	r.mu.RUnlock()
 	for id, fr := range rings {
 		fr.mu.Lock()
-		n := fr.n
-		if n > len(fr.events) {
-			n = len(fr.events)
-		}
+		n := fr.resident()
 		fr.mu.Unlock()
 		st.Workloads[id] = n
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,15 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	}
 	if id := r.RecordSampled(FlightEvent{Workload: "w", Kind: FlightObserveBatch}); id != 0 {
 		t.Errorf("nil RecordSampled = %d, want 0", id)
+	}
+	if id := r.RecordBatch("w", TraceCtx{Trace: 1}, IngestAttrs{Accepted: 1}, true); id != 0 {
+		t.Errorf("nil RecordBatch = %d, want 0", id)
+	}
+	if id := r.RecordDrift("w", TraceCtx{Trace: 1}, IngestAttrs{}, true); id != 0 {
+		t.Errorf("nil RecordDrift = %d, want 0", id)
+	}
+	if id := r.RecordRebuildEnqueued("w", TraceCtx{Trace: 1}); id != 0 {
+		t.Errorf("nil RecordRebuildEnqueued = %d, want 0", id)
 	}
 	if ev := r.Events("w"); ev != nil {
 		t.Errorf("nil Events = %v, want nil", ev)
@@ -244,5 +254,131 @@ func TestFlightConcurrentRecord(t *testing.T) {
 			_ = r.Stats()
 			_ = r.Workloads()
 		}
+	}
+}
+
+// TestHexIDUnmarshalForms pins both accepted JSON forms: a quoted string
+// is hex (the form MarshalJSON writes), an unquoted number is a legacy
+// decimal ID.
+func TestHexIDUnmarshalForms(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want HexID
+		ok   bool
+	}{
+		{`"00000000000000ff"`, 0xff, true},
+		{`"ff"`, 0xff, true},
+		{`"123"`, 0x123, true},
+		{`"0"`, 0, true},
+		{`"ffffffffffffffff"`, HexID(^uint64(0)), true},
+		{`123`, 123, true},
+		{`0`, 0, true},
+		{`18446744073709551615`, HexID(^uint64(0)), true},
+		{`ff`, 0, false},
+		{`"xyz"`, 0, false},
+		{`"10000000000000000"`, 0, false},
+		{`18446744073709551616`, 0, false},
+		{`-1`, 0, false},
+		{`1.5`, 0, false},
+		{`""`, 0, false},
+	} {
+		var h HexID
+		err := h.UnmarshalJSON([]byte(tc.in))
+		if (err == nil) != tc.ok {
+			t.Errorf("UnmarshalJSON(%s) error = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && h != tc.want {
+			t.Errorf("UnmarshalJSON(%s) = %d, want %d", tc.in, h, tc.want)
+		}
+	}
+	// Through encoding/json, as a timeline client decodes an event.
+	var ev FlightEvent
+	if err := json.Unmarshal([]byte(`{"id":123,"trace":"7b","parent":291}`), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.ID != 123 || ev.Trace != 123 || ev.Parent != 291 {
+		t.Errorf("decoded ids = %d/%d/%d, want 123/123/291", ev.ID, ev.Trace, ev.Parent)
+	}
+}
+
+// TestFlightRecordRoundTrip pins the rare-event contract: an event stored
+// through Record comes back from Events with every field intact — its
+// free-form attributes, and kinds and outcomes off the slot tables — and
+// the caller's time as the same instant.
+func TestFlightRecordRoundTrip(t *testing.T) {
+	r := NewFlightRecorder(FlightRecorderOptions{Cap: 8, SampleEvery: 3})
+	at := time.Date(2026, 3, 1, 12, 0, 0, 123456789, time.UTC)
+	in := []FlightEvent{
+		{Trace: 1, Parent: 2, Workload: "w", Kind: FlightRebuildPromoted, Outcome: OutcomeOK,
+			RequestID: "r-1", Time: at, Attrs: map[string]any{"warm_start": map[string]any{"k": 3}}},
+		{Workload: "w", Kind: "custom.kind", Outcome: "custom-outcome", Time: at.Add(time.Second)},
+		{Workload: "w", Kind: "", Outcome: "", Time: at.Add(2 * time.Second)},
+		{Workload: "w", Kind: FlightObserveBatch, Outcome: OutcomeDiverged, Time: at.Add(3 * time.Second)},
+	}
+	for _, ev := range in {
+		if r.Record(ev) == 0 {
+			t.Fatal("Record returned no ID")
+		}
+	}
+	out := r.Events("w")
+	if len(out) != len(in) {
+		t.Fatalf("Events returned %d events, want %d", len(out), len(in))
+	}
+	for i := range in {
+		got, want := out[i], in[i]
+		if !got.Time.Equal(want.Time) {
+			t.Errorf("event %d time %v, want %v", i, got.Time, want.Time)
+		}
+		if got.ID == 0 {
+			t.Errorf("event %d has no ID", i)
+		}
+		got.ID, got.Time, want.Time = 0, time.Time{}, time.Time{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("event %d round-tripped to %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestFlightTypedEventsSampling pins the typed entry points' sampling:
+// RecordBatch samples unless forced; RecordDrift and
+// RecordRebuildEnqueued always record.
+func TestFlightTypedEventsSampling(t *testing.T) {
+	r := NewFlightRecorder(FlightRecorderOptions{SampleEvery: 4})
+	tc := TraceCtx{Trace: 9, RequestID: "req"}
+	a := IngestAttrs{Accepted: 2, Scored: 1, Samples: 5, RollingMAPE: 12.5, ValError: 3}
+	kept := 0
+	for i := 0; i < 8; i++ {
+		if r.RecordBatch("w", tc, a, false) != 0 {
+			kept++
+		}
+	}
+	if kept != 2 {
+		t.Fatalf("kept %d of 8 sampled batches, want 2", kept)
+	}
+	batch := r.RecordBatch("w", tc, a, true)
+	drift := r.RecordDrift("w", TraceCtx{Trace: 9, Parent: batch}, a, true)
+	enq := r.RecordRebuildEnqueued("w", TraceCtx{Trace: 9, Parent: drift})
+	cleared := r.RecordDrift("w", TraceCtx{Trace: 9, Parent: batch}, a, false)
+	if batch == 0 || drift == 0 || enq == 0 || cleared == 0 {
+		t.Fatalf("forced events sampled away: %d %d %d %d", batch, drift, enq, cleared)
+	}
+	evs := r.Events("w")
+	if len(evs) != 6 {
+		t.Fatalf("resident events = %d, want 6", len(evs))
+	}
+	d := evs[3]
+	if d.Kind != FlightDriftDetected || d.Outcome != "drift" || d.Parent != HexID(batch) ||
+		d.Attrs["val_error"] != 3.0 || d.Attrs["samples"] != 5 {
+		t.Errorf("drift.detected = %+v", d)
+	}
+	if e := evs[4]; e.Kind != FlightRebuildEnqueued || e.Attrs != nil || e.Parent != HexID(drift) {
+		t.Errorf("rebuild.enqueued = %+v", e)
+	}
+	if c := evs[5]; c.Kind != FlightDriftCleared || c.Outcome != OutcomeOK || c.Attrs["val_error"] != nil {
+		t.Errorf("drift.cleared = %+v", c)
+	}
+	if st := r.Stats(); st.SampledOut != 6 || st.Recorded != 6 {
+		t.Errorf("Stats = %+v, want 6 recorded, 6 sampled out", st)
 	}
 }

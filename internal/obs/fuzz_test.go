@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,5 +31,44 @@ func FuzzPrometheusRender(f *testing.F) {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		verifyExposition(t, sb.String())
+	})
+}
+
+// FuzzHexIDJSON asserts the ID wire contract: every ID round-trips
+// through its JSON form, its legacy decimal form parses to the same ID,
+// and any input UnmarshalJSON accepts re-encodes to an ID that parses
+// back to itself.
+func FuzzHexIDJSON(f *testing.F) {
+	f.Add(uint64(0), `"00000000000000ff"`)
+	f.Add(uint64(291), `123`)
+	f.Add(uint64(1<<63), `"ffffffffffffffff"`)
+	f.Add(^uint64(0), `18446744073709551616`)
+	f.Add(uint64(42), `"0x2a"`)
+	f.Add(uint64(7), `null`)
+	f.Fuzz(func(t *testing.T, id uint64, raw string) {
+		b, err := json.Marshal(HexID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back HexID
+		if err := json.Unmarshal(b, &back); err != nil || back != HexID(id) {
+			t.Fatalf("HexID %d round-tripped to %d via %s (err %v)", id, back, b, err)
+		}
+		var dec HexID
+		if err := json.Unmarshal([]byte(strconv.FormatUint(id, 10)), &dec); err != nil || dec != HexID(id) {
+			t.Fatalf("decimal %d parsed to %d (err %v)", id, dec, err)
+		}
+		var h HexID
+		if h.UnmarshalJSON([]byte(raw)) != nil {
+			return
+		}
+		b, err = json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again HexID
+		if err := json.Unmarshal(b, &again); err != nil || again != h {
+			t.Fatalf("accepted %q as %d, which re-parsed to %d via %s (err %v)", raw, h, again, b, err)
+		}
 	})
 }

@@ -5,10 +5,13 @@
 #      packages (see ROADMAP.md)
 #   2. fuzz seed corpora in regression mode (committed seeds only, no
 #      fuzzing engine time)
-#   3. log hygiene: no package under internal/ may import the global "log"
+#   3. perfbench smoke tests: the benchmark harness is its own module
+#      (perfbench/go.mod) compiled against this checkout, so an API change
+#      that breaks it shows up here, not only in a benchmark run
+#   4. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
-#   4. gofmt: every Go file outside hidden directories is gofmt-clean
-#   5. coverage report for the observability, framework, fleet, WAL,
+#   5. gofmt: every Go file outside hidden directories is gofmt-clean
+#   6. coverage report for the observability, framework, fleet, WAL,
 #      serving, loadgen and profile layers, with hard floors on
 #      internal/obs, internal/fleet, internal/wal, internal/serve,
 #      internal/loadgen and internal/profile
@@ -36,6 +39,9 @@ go test -race -timeout 1800s ./internal/bo ./internal/gp ./internal/mat ./intern
 
 echo "== fuzz seed corpora (regression mode) =="
 go test -run 'Fuzz' ./internal/core ./internal/serve ./internal/obs ./internal/wal ./internal/profile
+
+echo "== perfbench smoke tests =="
+(cd perfbench && GOWORK=off go test ./...)
 
 echo "== log hygiene =="
 # Structured logging only: internal/ packages must use log/slog (wired via
