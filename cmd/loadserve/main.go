@@ -105,7 +105,7 @@ func main() {
 		sloLatencyP99 = flag.Duration("slo-latency-p99", 2*time.Second, "latency objective: 99% of forecast requests complete within this bound")
 		sloErrorRate  = flag.Float64("slo-error-rate", 0.01, "availability objective: allowed fraction of 5xx forecast responses")
 		traceOut      = flag.String("trace-out", "", "write serve.request and fleet.rebuild spans (JSONL, with request IDs) to this file on exit")
-		flightEvents  = flag.Int("flight-events", 256, "flight-recorder events kept per workload for GET /v1/workloads/{id}/timeline, about 106 heap bytes each (0 disables causal tracing)")
+		flightEvents  = flag.Int("flight-events", 256, "flight-recorder events kept per workload for GET /v1/workloads/{id}/timeline, an upper bound each ring grows to; about 106 heap bytes each (0 disables causal tracing)")
 		flightSample  = flag.Int("flight-sample", 1, "tail-sample routine observe events: keep every Nth per workload (drift and rebuild events always record)")
 	)
 	flag.Parse()

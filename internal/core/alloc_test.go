@@ -6,7 +6,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -34,5 +36,22 @@ func TestPredictStepsIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs >= 1 {
 		t.Fatalf("PredictStepsInto allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestLoadRejectsOversizedSnapshotCheaply pins that a tiny model file
+// declaring a huge network (HiddenSize 2^20, no weights) is rejected on its
+// shapes before any weight matrix is sized from the config.
+func TestLoadRejectsOversizedSnapshotCheaply(t *testing.T) {
+	data := snapshotSeed(t, "oversized-hidden")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("oversized snapshot loaded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte model file allocated %d bytes, want < 1 MiB", len(data), got)
 	}
 }

@@ -6,9 +6,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"loaddynamics/internal/bo"
 )
 
 // resumeConfig is a small serial build: Parallel=1 keeps evaluation order
@@ -263,6 +267,125 @@ func TestBuildParallelCheckpointResume(t *testing.T) {
 	for _, c := range res.Database {
 		if c.Err == nil && c.ValError < res.Best.ValError-1e-9 {
 			t.Fatalf("best %.4f is not the database minimum %.4f", res.Best.ValError, c.ValError)
+		}
+	}
+}
+
+// TestRoundsToBestCountsProposals pins RoundsToBest to the search's
+// proposal order under Parallel > 1: a build whose concurrent candidates
+// are forced to finish in reverse proposal order reports the same
+// RoundsToBest as the BO history implies, and its proposal-ordered view of
+// the database equals that history.
+func TestRoundsToBestCountsProposals(t *testing.T) {
+	cfg := resumeConfig(21)
+	cfg.Parallel = 4
+	cfg.MaxIters = 8
+	cfg.InitPoints = 4
+	series := seasonal(300, 10, 5)
+	build := func(hook func(*Framework)) (*Result, []Hyperparams) {
+		t.Helper()
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hook != nil {
+			hook(f)
+		}
+		var proposed []Hyperparams
+		res, err := f.buildWithSearch(context.Background(), series[:200], series[200:250],
+			func(obj bo.Objective) (*bo.Result, error) {
+				r, err := bo.MinimizeContext(context.Background(), cfg.Space, obj, f.boOptions())
+				if r != nil {
+					for _, e := range r.History {
+						proposed = append(proposed, pointToHP(e.Point))
+					}
+				}
+				return r, err
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, proposed
+	}
+	hps := func(db []Candidate) []Hyperparams {
+		out := make([]Hyperparams, len(db))
+		for i, c := range db {
+			out[i] = c.HP
+		}
+		return out
+	}
+
+	first, proposed := build(nil)
+	if len(proposed) != cfg.MaxIters {
+		t.Fatalf("search proposed %d points, want %d", len(proposed), cfg.MaxIters)
+	}
+	// The round the history implies: the first proposal reaching the
+	// minimum validation error.
+	valErr := map[Hyperparams]float64{}
+	for _, c := range first.Database {
+		if c.Err != nil {
+			t.Fatalf("candidate %s failed: %v", c.HP, c.Err)
+		}
+		valErr[c.HP] = c.ValError
+	}
+	want := 0
+	for i, hp := range proposed {
+		if want == 0 || valErr[hp] < valErr[proposed[want-1]] {
+			want = i + 1
+		}
+	}
+
+	// Second build: each batch of Parallel concurrent candidates records in
+	// reverse proposal order. A candidate at position p of that completion
+	// order waits until p candidates have been recorded.
+	var completion []Hyperparams
+	for lo := 0; lo < len(proposed); lo += cfg.Parallel {
+		for i := lo + cfg.Parallel - 1; i >= lo; i-- {
+			completion = append(completion, proposed[i])
+		}
+	}
+	var mu sync.Mutex
+	slots := map[Hyperparams][]int{}
+	for p, hp := range completion {
+		slots[hp] = append(slots[hp], p)
+	}
+	recorded := make([]chan struct{}, len(completion)+1)
+	for i := range recorded {
+		recorded[i] = make(chan struct{})
+	}
+	close(recorded[0])
+	second, reproposed := build(func(f *Framework) {
+		f.beforeRecord = func(hp Hyperparams) {
+			mu.Lock()
+			q := slots[hp]
+			if len(q) == 0 {
+				mu.Unlock()
+				t.Errorf("unexpected candidate %s", hp)
+				return
+			}
+			slots[hp] = q[1:]
+			mu.Unlock()
+			select {
+			case <-recorded[q[0]]:
+			case <-time.After(time.Minute):
+				t.Errorf("candidate %s waited a minute for its turn", hp)
+			}
+		}
+		f.afterEval = func(n int) { close(recorded[n]) }
+	})
+
+	if !slices.Equal(reproposed, proposed) {
+		t.Fatalf("completion order changed the proposals:\n%v\n%v", reproposed, proposed)
+	}
+	if got := hps(second.Database); !slices.Equal(got, completion) {
+		t.Fatalf("database order %v, want the forced completion order %v", got, completion)
+	}
+	for name, res := range map[string]*Result{"unhooked": first, "reversed": second} {
+		if got := hps(res.proposed); !slices.Equal(got, proposed) {
+			t.Fatalf("%s build: proposal-ordered database %v, want the BO history %v", name, got, proposed)
+		}
+		if got := res.RoundsToBest(); got != want {
+			t.Fatalf("%s build: RoundsToBest %d, want %d (the BO history's first minimum)", name, got, want)
 		}
 	}
 }

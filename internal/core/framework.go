@@ -152,18 +152,28 @@ func (c Candidate) Diverged() bool { return errors.Is(c.Err, nn.ErrDiverged) }
 type Result struct {
 	// Best is the selected workload predictor f.
 	Best *Model
-	// Database holds every examined candidate, in evaluation order.
+	// Database holds every examined candidate, in evaluation order: with
+	// Parallel > 1 that is the order concurrent candidates finished in.
 	Database []Candidate
+	// proposed is Database in the search's proposal order (nil when the
+	// search returned no history).
+	proposed []Candidate
 }
 
-// RoundsToBest is the 1-based index of the first candidate that reached
-// the database's minimum validation error — the "how many search rounds
-// did the win cost" number the fleet's warm-start metrics track. Returns
-// 0 when no candidate trained successfully.
+// RoundsToBest is the 1-based proposal index of the first candidate that
+// reached the database's minimum validation error — the "how many search
+// rounds did the win cost" number the fleet's warm-start metrics track. It
+// counts in proposal order, so it does not depend on which of a batch's
+// concurrent candidates finished first. Returns 0 when no candidate
+// trained successfully.
 func (r *Result) RoundsToBest() int {
+	db := r.proposed
+	if db == nil {
+		db = r.Database
+	}
 	best := -1
-	for i, c := range r.Database {
-		if c.Err == nil && (best < 0 || c.ValError < r.Database[best].ValError) {
+	for i, c := range db {
+		if c.Err == nil && (best < 0 || c.ValError < db[best].ValError) {
 			best = i
 		}
 	}
@@ -178,6 +188,10 @@ type Framework struct {
 	// with the database size — the hook deterministic cancellation tests
 	// use to interrupt a build at an exact point.
 	afterEval func(n int)
+	// beforeRecord, when set (tests only), runs after a candidate finishes
+	// training and before it is recorded — the hook that lets a test choose
+	// the order concurrent candidates complete in.
+	beforeRecord func(hp Hyperparams)
 }
 
 // New returns a framework with the given configuration.
@@ -278,6 +292,9 @@ func (f *Framework) buildObjective(ctx context.Context, st *buildState, train, v
 		model, err := trainModel(ctx, train, validate, hp, f.cfg.Train, f.cfg.Scaler,
 			f.cfg.MaxTrainWindows, candidateSeed(f.cfg.Seed, hp), f.cfg.CandidateTimeout)
 		candidateSeconds.Observe(time.Since(start).Seconds())
+		if f.beforeRecord != nil {
+			f.beforeRecord(hp)
+		}
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		if err != nil {
@@ -427,20 +444,24 @@ func (f *Framework) Build(train, validate []float64) (*Result, error) {
 // CheckpointPath is configured, every completed candidate has already been
 // persisted and a later run with Resume picks up where this one stopped.
 func (f *Framework) BuildContext(ctx context.Context, train, validate []float64) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) error {
-		opt := bo.DefaultOptions()
-		opt.MaxIters = f.cfg.MaxIters
-		opt.InitPoints = f.cfg.InitPoints
-		opt.Seed = f.cfg.Seed
-		opt.Parallel = f.cfg.Parallel
-		opt.Batch = f.cfg.Batch
-		opt.Acq = f.cfg.Acquisition
-		opt.PriorObservations = f.cfg.PriorObservations
-		opt.Trace = f.cfg.Trace
-		opt.TraceID = f.cfg.TraceID
-		_, err := bo.MinimizeContext(ctx, f.cfg.Space, obj, opt)
-		return err
+	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
+		return bo.MinimizeContext(ctx, f.cfg.Space, obj, f.boOptions())
 	})
+}
+
+// boOptions maps the build configuration onto the BO engine's options.
+func (f *Framework) boOptions() bo.Options {
+	opt := bo.DefaultOptions()
+	opt.MaxIters = f.cfg.MaxIters
+	opt.InitPoints = f.cfg.InitPoints
+	opt.Seed = f.cfg.Seed
+	opt.Parallel = f.cfg.Parallel
+	opt.Batch = f.cfg.Batch
+	opt.Acq = f.cfg.Acquisition
+	opt.PriorObservations = f.cfg.PriorObservations
+	opt.Trace = f.cfg.Trace
+	opt.TraceID = f.cfg.TraceID
+	return opt
 }
 
 // BuildRandom runs the workflow with random search in place of Bayesian
@@ -452,9 +473,8 @@ func (f *Framework) BuildRandom(train, validate []float64) (*Result, error) {
 // BuildRandomContext is BuildRandom with cancellation, checkpointing and
 // resume (same contract as BuildContext).
 func (f *Framework) BuildRandomContext(ctx context.Context, train, validate []float64) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) error {
-		_, err := bo.RandomSearchContext(ctx, f.cfg.Space, obj, f.cfg.MaxIters, f.cfg.Seed)
-		return err
+	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
+		return bo.RandomSearchContext(ctx, f.cfg.Space, obj, f.cfg.MaxIters, f.cfg.Seed)
 	})
 }
 
@@ -467,13 +487,12 @@ func (f *Framework) BuildGrid(train, validate []float64, perDim int) (*Result, e
 // BuildGridContext is BuildGrid with cancellation, checkpointing and resume
 // (same contract as BuildContext).
 func (f *Framework) BuildGridContext(ctx context.Context, train, validate []float64, perDim int) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) error {
-		_, err := bo.GridSearchContext(ctx, f.cfg.Space, obj, perDim)
-		return err
+	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
+		return bo.GridSearchContext(ctx, f.cfg.Space, obj, perDim)
 	})
 }
 
-func (f *Framework) buildWithSearch(ctx context.Context, train, validate []float64, search func(bo.Objective) error) (*Result, error) {
+func (f *Framework) buildWithSearch(ctx context.Context, train, validate []float64, search func(bo.Objective) (*bo.Result, error)) (*Result, error) {
 	if len(train) < 4 || len(validate) == 0 {
 		return nil, fmt.Errorf("core: need non-trivial train (%d) and validate (%d) sets", len(train), len(validate))
 	}
@@ -481,7 +500,39 @@ func (f *Framework) buildWithSearch(ctx context.Context, train, validate []float
 	if err != nil {
 		return nil, err
 	}
-	return f.finishBuild(ctx, st, search(f.buildObjective(ctx, st, train, validate)), train, validate)
+	res, searchErr := search(f.buildObjective(ctx, st, train, validate))
+	if res != nil {
+		st.res.proposed = proposalOrder(st.res.Database, res.History)
+	}
+	return f.finishBuild(ctx, st, searchErr, train, validate)
+}
+
+// proposalOrder returns the database, which concurrent candidates append
+// to in completion order, in the search's proposal order (its History).
+// History entries with no database entry (a candidate cancelled with the
+// build) are skipped; database entries the history does not name keep
+// their relative order at the end.
+func proposalOrder(db []Candidate, history []bo.Evaluation) []Candidate {
+	byHP := make(map[Hyperparams][]int, len(db))
+	for i, c := range db {
+		byHP[c.HP] = append(byHP[c.HP], i)
+	}
+	out := make([]Candidate, 0, len(db))
+	used := make([]bool, len(db))
+	for _, e := range history {
+		hp := pointToHP(e.Point)
+		if q := byHP[hp]; len(q) > 0 {
+			out = append(out, db[q[0]])
+			used[q[0]] = true
+			byHP[hp] = q[1:]
+		}
+	}
+	for i, c := range db {
+		if !used[i] {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // BruteForce trains a model for every point of a perDim-level grid over the

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,7 +49,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":99,"hyperparams":{}}`))
-	f.Add([]byte(`{"version":1,"hyperparams":{"history_len":4,"cell_size":2,"layers":1,"batch_size":8},"val_error":0.1,"scaler":{"name":"minmax","a":0,"b":1},"net":{"config":{"InputSize":1,"HiddenSize":2,"OutputSize":1,"Layers":1},"weights":[]}}`))
+	f.Add([]byte(`{"version":1,"hyperparams":{"HistoryLen":4,"CellSize":2,"Layers":1,"BatchSize":8},"val_error":0.1,"scaler":{"name":"minmax","a":0,"b":1},"net":{"config":{"InputSize":1,"HiddenSize":2,"OutputSize":1,"Layers":1},"weights":[]}}`))
 	f.Add([]byte(`{"version":1,"val_error":1e999}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
@@ -79,4 +83,57 @@ func FuzzLoadSnapshot(f *testing.F) {
 				m.NumParams(), m.HP, m2.NumParams(), m2.HP)
 		}
 	})
+}
+
+// snapshotSeed reads one committed FuzzLoadSnapshot corpus file and returns
+// its input bytes.
+func snapshotSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadSnapshot", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, found := strings.CutPrefix(body, "[]byte(")
+	if !ok || header != "go test fuzz v1" || !found || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a single-[]byte corpus file", name)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestFuzzLoadSnapshotSeedsReachTheirCheck loads every committed corpus file
+// and asserts Load rejects it at the check the file is named after, so a
+// seed cannot silently stop at an earlier check and leave its target
+// unexercised.
+func TestFuzzLoadSnapshotSeedsReachTheirCheck(t *testing.T) {
+	want := map[string]string{
+		"bad-scaler":               `unknown scaler "mystery"`,
+		"hp-architecture-disagree": "disagree with network architecture",
+		"minmax-inverted":          "minmax scaler has max 1 < min 5",
+		"negative-val-error":       "invalid validation error -3",
+		"oversized-hidden":         "snapshot has 0 weight tensors",
+		"version-mismatch":         "unsupported model file version 42",
+		"zscore-bad-std":           "zscore scaler has non-positive std -1",
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoadSnapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Fatalf("%d corpus files, want %d (one expected check each)", len(entries), len(want))
+	}
+	for _, e := range entries {
+		sub, ok := want[e.Name()]
+		if !ok {
+			t.Fatalf("corpus file %s has no expected check", e.Name())
+		}
+		_, err := Load(bytes.NewReader(snapshotSeed(t, e.Name())))
+		if err == nil || !strings.Contains(err.Error(), sub) {
+			t.Errorf("%s: Load error %v, want one containing %q", e.Name(), err, sub)
+		}
+	}
 }

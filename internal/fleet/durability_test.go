@@ -28,8 +28,10 @@ func walOptions(opts Options, dir string) Options {
 }
 
 // evalSnapshot copies one workload's evaluator state for comparison. The
-// ring buffers and pending slice are deep-copied (and re-sliced to nil
-// when empty) so reflect.DeepEqual compares contents, not capacities.
+// pending slice is deep-copied (and re-sliced to nil when empty) so
+// reflect.DeepEqual compares contents, not capacities; the rings compare
+// as they are (DeepEqual ignores slice capacity, and an emptied ring has
+// released its array, like one never pushed to).
 func evalSnapshot(t *testing.T, f *Fleet, id string) evalState {
 	t.Helper()
 	e := f.get(id)
@@ -40,9 +42,6 @@ func evalSnapshot(t *testing.T, f *Fleet, id string) evalState {
 	defer e.shard.mu.Unlock()
 	s := e.eval
 	s.pending = append([]float64(nil), s.pending...)
-	s.pctErrs.vals = append([]float64(nil), s.pctErrs.vals...)
-	s.sqErrs.vals = append([]float64(nil), s.sqErrs.vals...)
-	s.history.vals = append([]float64(nil), s.history.vals...)
 	return s
 }
 

@@ -6,35 +6,28 @@ import (
 	"math"
 
 	"loaddynamics/internal/obs"
+	"loaddynamics/internal/ringbuf"
 )
 
-// ring is a fixed-capacity sliding window with an O(1) rolling sum: the
-// rolling MAPE/RMSE reads on the observe path cost two loads, not a scan.
+// ring is a bounded sliding window with an O(1) rolling sum: the rolling
+// MAPE/RMSE reads on the observe path cost two loads, not a scan. The
+// window grows with what is pushed, up to its capacity.
 type ring struct {
-	vals []float64
-	next int
-	n    int // total pushed (samples = min(n, len(vals)))
-	sum  float64
+	buf ringbuf.Ring[float64]
+	sum float64
 }
 
-func newRing(capacity int) ring { return ring{vals: make([]float64, capacity)} }
+func newRing(capacity int) ring { return ring{buf: ringbuf.New[float64](capacity)} }
 
 func (r *ring) push(v float64) {
-	if r.n >= len(r.vals) {
-		r.sum -= r.vals[r.next]
+	if r.buf.Full() {
+		r.sum -= r.buf.Oldest()
 	}
-	r.vals[r.next] = v
+	r.buf.Push(v)
 	r.sum += v
-	r.next = (r.next + 1) % len(r.vals)
-	r.n++
 }
 
-func (r *ring) samples() int {
-	if r.n < len(r.vals) {
-		return r.n
-	}
-	return len(r.vals)
-}
+func (r *ring) samples() int { return r.buf.Len() }
 
 func (r *ring) mean() float64 {
 	s := r.samples()
@@ -45,10 +38,8 @@ func (r *ring) mean() float64 {
 }
 
 func (r *ring) reset() {
-	r.next, r.n, r.sum = 0, 0, 0
-	for i := range r.vals {
-		r.vals[i] = 0
-	}
+	r.buf.Reset()
+	r.sum = 0
 }
 
 // evalState is one workload's online evaluation state: the latest served
@@ -91,16 +82,7 @@ func (s *evalState) rollingRMSE() float64 { return math.Sqrt(s.sqErrs.mean()) }
 
 // historyCopy returns the observation history oldest-first.
 func (s *evalState) historyCopy() []float64 {
-	h := &s.history
-	n := h.samples()
-	out := make([]float64, 0, n)
-	if h.n > len(h.vals) { // wrapped: oldest value sits at next
-		out = append(out, h.vals[h.next:]...)
-		out = append(out, h.vals[:h.next]...)
-	} else {
-		out = append(out, h.vals[:n]...)
-	}
-	return out
+	return s.history.buf.AppendTo(make([]float64, 0, s.history.samples()))
 }
 
 // reset clears the error windows and pending horizon — called after a

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,6 +25,69 @@ func TestRingRollingSum(t *testing.T) {
 	r.reset()
 	if r.samples() != 0 || r.mean() != 0 {
 		t.Fatalf("reset ring samples=%d mean=%v", r.samples(), r.mean())
+	}
+}
+
+// fixedRing is the preallocated ring the growing ring replaced, kept as the
+// reference for its arithmetic.
+type fixedRing struct {
+	vals    []float64
+	next, n int
+	sum     float64
+}
+
+func (r *fixedRing) push(v float64) {
+	if r.n >= len(r.vals) {
+		r.sum -= r.vals[r.next]
+	}
+	r.vals[r.next] = v
+	r.sum += v
+	r.next = (r.next + 1) % len(r.vals)
+	r.n++
+}
+
+// TestRingMatchesFixedReference pins the growing ring to the preallocated
+// one bit for bit: the same pushes and subtractions in the same order give
+// the same rolling sum, mean and oldest-first history, across resets.
+func TestRingMatchesFixedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, capacity := range []int{1, 3, 8, 64, 100} {
+		s := evalState{history: newRing(capacity)}
+		ref := fixedRing{vals: make([]float64, capacity)}
+		for i := 0; i < 20*capacity+7; i++ {
+			if i%(7*capacity+3) == 5*capacity { // reset mid-stream
+				s.history.reset()
+				ref = fixedRing{vals: make([]float64, capacity)}
+			}
+			v := rng.ExpFloat64() * 1e3
+			s.history.push(v)
+			ref.push(v)
+			if s.history.sum != ref.sum || s.history.samples() != min(ref.n, capacity) {
+				t.Fatalf("cap %d push %d: sum %v samples %d, reference %v/%d",
+					capacity, i, s.history.sum, s.history.samples(), ref.sum, min(ref.n, capacity))
+			}
+		}
+		want := append(append([]float64(nil), ref.vals[ref.next:]...), ref.vals[:ref.next]...)
+		if got := s.historyCopy(); !slices.Equal(got, want) {
+			t.Fatalf("cap %d: historyCopy %v, reference %v", capacity, got, want)
+		}
+	}
+}
+
+// TestRingGrowsOnDemand pins a workload's ring memory to what it has
+// pushed: a new evaluator holds no slots, and a full history ring holds
+// exactly HistoryCap.
+func TestRingGrowsOnDemand(t *testing.T) {
+	opts := Options{}.withDefaults()
+	s := newEvalState(opts)
+	if n := s.history.buf.Held() + s.pctErrs.buf.Held() + s.sqErrs.buf.Held(); n != 0 {
+		t.Fatalf("a new workload's evaluator holds %d ring slots before any push, want 0", n)
+	}
+	for k := 1; k <= opts.HistoryCap+10; k++ {
+		s.history.push(float64(k))
+	}
+	if got := s.history.buf.Held(); got != opts.HistoryCap {
+		t.Fatalf("a full history ring holds %d slots, want exactly its cap %d", got, opts.HistoryCap)
 	}
 }
 

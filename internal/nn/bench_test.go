@@ -58,12 +58,10 @@ func BenchmarkShapeTrainStepH16L2T24B32(b *testing.B) {
 		targets[i] = rng.Float64()
 		batch[i] = i
 	}
-	tc := DefaultTrainConfig()
-	opt := NewAdam(tc.LearningRate)
-	params := m.Params()
+	tr := newTrainer(m, DefaultTrainConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSinkF, benchSinkE = m.trainBatch(inputs, targets, batch, opt, params, tc.ClipNorm, tc.Loss)
+		benchSinkF, benchSinkE = tr.step(inputs, targets, batch)
 	}
 }

@@ -26,12 +26,12 @@ func TestCellMatchesPaperEquations(t *testing.T) {
 	bi, bf, bo, bg := 0.1, 0.2, -0.1, 0.0 // b (biases)
 	wy, by := 1.5, -0.2                   // dense head T
 
-	ly := m.layers[0]
-	copy(ly.Wx.W.Data, []float64{wi, wf, wo, wg})
-	copy(ly.Wh.W.Data, []float64{ui, uf, uo, ug})
-	copy(ly.B.W.Data, []float64{bi, bf, bo, bg})
-	m.Wy.W.Data[0] = wy
-	m.By.W.Data[0] = by
+	ly := &m.w.layers[0]
+	copy(ly.Wx.Data, []float64{wi, wf, wo, wg})
+	copy(ly.Wh.Data, []float64{ui, uf, uo, ug})
+	copy(ly.B.Data, []float64{bi, bf, bo, bg})
+	m.w.Wy.Data[0] = wy
+	m.w.By.Data[0] = by
 
 	sigma := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
@@ -70,15 +70,15 @@ func TestCellMatchesPaperEquations(t *testing.T) {
 // independent of earlier inputs.
 func TestForgetGateErasesMemory(t *testing.T) {
 	m := newTestNet(t, Config{InputSize: 1, HiddenSize: 3, Layers: 1, OutputSize: 1}, 2)
-	ly := m.layers[0]
+	ly := &m.w.layers[0]
 	h := 3
 	for k := 0; k < h; k++ {
-		ly.B.W.Data[h+k] = -50 // forget bias → f ≈ 0
+		ly.B.Data[h+k] = -50 // forget bias → f ≈ 0
 		// Also sever the recurrent paths so h_{t−1} cannot carry history.
 		for j := 0; j < h; j++ {
-			ly.Wh.W.Data[(0*h+k)*h+j] = 0 // U_i
-			ly.Wh.W.Data[(2*h+k)*h+j] = 0 // U_o
-			ly.Wh.W.Data[(3*h+k)*h+j] = 0 // U_g
+			ly.Wh.Data[(0*h+k)*h+j] = 0 // U_i
+			ly.Wh.Data[(2*h+k)*h+j] = 0 // U_o
+			ly.Wh.Data[(3*h+k)*h+j] = 0 // U_g
 		}
 	}
 	a, err := m.Predict([]float64{9.9, -3.3, 0.7})
@@ -100,9 +100,9 @@ func TestForgetGateErasesMemory(t *testing.T) {
 // paper selects LSTMs for.
 func TestCellMemoryCarriesLongTermState(t *testing.T) {
 	m := newTestNet(t, Config{InputSize: 1, HiddenSize: 2, Layers: 1, OutputSize: 1}, 3)
-	ly := m.layers[0]
+	ly := &m.w.layers[0]
 	for k := 0; k < 2; k++ {
-		ly.B.W.Data[2+k] = 50 // forget bias → f ≈ 1
+		ly.B.Data[2+k] = 50 // forget bias → f ≈ 1
 	}
 	long := make([]float64, 20)
 	long[0] = 5 // early input

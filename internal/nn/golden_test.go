@@ -84,10 +84,6 @@ func TestGoldenTrainingBits(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var weights [][]float64
-		for _, p := range m.Params() {
-			weights = append(weights, p.W.Data)
-		}
 		probes := inputs[:7]
 		single := make([]float64, len(probes))
 		for i, h := range probes {
@@ -103,7 +99,7 @@ func TestGoldenTrainingBits(t *testing.T) {
 		got := goldenCase{
 			hidden:  gc.hidden,
 			layers:  gc.layers,
-			weights: hashFloats(weights...),
+			weights: hashFloats(m.w.flat),
 			loss:    math.Float64bits(loss),
 			predict: hashFloats(single),
 			batch:   hashFloats(batch),

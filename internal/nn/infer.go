@@ -15,8 +15,8 @@ import (
 // allocation-free in steady state. Results are bit-identical to
 // packInputs+forward: every element's value depends only on the same layer's
 // previous-timestep state and the layer below's same-timestep output, and
-// both traversal orders run the same cell step (layer.cellStep), so they
-// execute the identical floating-point op sequence per element.
+// both traversal orders run the same cell step (layerTensors.cellStep), so
+// they execute the identical floating-point op sequence per element.
 
 // inferWorkspace is the scratch state for one streaming forward pass at a
 // fixed batch size. The gate scratch is shared across layers because each
@@ -68,7 +68,7 @@ func (m *LSTM) inferWS(bsz int) *inferWorkspace {
 		if v := m.inferPool1.Get(); v != nil {
 			return v.(*inferWorkspace)
 		}
-		return newInferWorkspace(m.Cfg, len(m.layers), 1)
+		return newInferWorkspace(m.Cfg, len(m.w.layers), 1)
 	}
 	p, ok := m.inferPools.Load(bsz)
 	if !ok {
@@ -77,7 +77,7 @@ func (m *LSTM) inferWS(bsz int) *inferWorkspace {
 	if v := p.(*sync.Pool).Get(); v != nil {
 		return v.(*inferWorkspace)
 	}
-	return newInferWorkspace(m.Cfg, len(m.layers), bsz)
+	return newInferWorkspace(m.Cfg, len(m.w.layers), bsz)
 }
 
 // putInferWS returns a workspace to its pool.
@@ -93,11 +93,11 @@ func (m *LSTM) putInferWS(ws *inferWorkspace) {
 
 // inferStep advances every layer one timestep. ws.x must already hold the
 // timestep's input; ws.h/ws.c carry the running state, which the shared cell
-// step (layer.cellStep) updates in place.
+// step (layerTensors.cellStep) updates in place.
 func (m *LSTM) inferStep(ws *inferWorkspace) {
 	in := ws.x
-	for l, ly := range m.layers {
-		ly.cellStep(in, ws.h[l], ws.c[l], ws.gates, ws.c[l], nil, ws.h[l])
+	for l := range m.w.layers {
+		m.w.layers[l].cellStep(in, ws.h[l], ws.c[l], ws.gates, ws.c[l], nil, ws.h[l])
 		in = ws.h[l]
 	}
 }
@@ -105,6 +105,6 @@ func (m *LSTM) inferStep(ws *inferWorkspace) {
 // inferHead applies the fully-connected head to the top layer's final hidden
 // state, leaving the result in ws.pred.
 func (m *LSTM) inferHead(ws *inferWorkspace) {
-	mat.MatMulBTInto(ws.h[len(m.layers)-1], m.Wy.W, ws.pred)
-	addRowBias(ws.pred, m.By.W.Data)
+	mat.MatMulBTInto(ws.h[len(m.w.layers)-1], &m.w.Wy, ws.pred)
+	addRowBias(ws.pred, m.w.By.Data)
 }

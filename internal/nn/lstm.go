@@ -25,30 +25,20 @@ func (c Config) Validate() error {
 	if c.InputSize <= 0 || c.HiddenSize <= 0 || c.Layers <= 0 || c.OutputSize <= 0 {
 		return fmt.Errorf("nn: all Config fields must be positive: %+v", c)
 	}
+	if c.HiddenSize > math.MaxInt/4 {
+		return fmt.Errorf("nn: HiddenSize %d overflows the gate dimension", c.HiddenSize)
+	}
 	return nil
 }
 
-// layer holds the trainable tensors of one LSTM layer. The four gates
-// (input, forget, output, candidate — i, f, o, g) are packed along the row
-// dimension in that order, so Wx is (4H × D), Wh is (4H × H) and B is
-// (1 × 4H).
-type layer struct {
-	Wx, Wh, B *Param
-	inDim     int
-}
-
 // LSTM is a stacked LSTM network with a fully-connected output head — the
-// model A = (M, T) of Fig. 3 in the paper.
+// model A = (M, T) of Fig. 3 in the paper. It holds its weights and the
+// inference pools, nothing else: gradients, optimizer moments and the BPTT
+// workspaces belong to a training run (trainer) and are released when the
+// run returns.
 type LSTM struct {
-	Cfg    Config
-	layers []*layer
-	Wy, By *Param // fully-connected head T
-
-	// Training scratch, lazily built and reused across mini-batches so the
-	// hot loop is allocation-free. Only the (single-goroutine) Train path
-	// touches these.
-	wss     map[int]*workspace // keyed by batch size
-	histBuf [][]float64
+	Cfg Config
+	w   tensors
 
 	// Inference scratch. Predict and PredictBatchInto check streaming
 	// workspaces out of these pools so concurrent steady-state forecasts
@@ -64,29 +54,17 @@ func NewLSTM(cfg Config, rng *rand.Rand) (*LSTM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &LSTM{Cfg: cfg}
+	m := &LSTM{Cfg: cfg, w: newTensors(cfg.shapes())}
 	h := cfg.HiddenSize
-	for l := 0; l < cfg.Layers; l++ {
-		d := cfg.InputSize
-		if l > 0 {
-			d = h
-		}
-		ly := &layer{
-			Wx:    newParam(4*h, d),
-			Wh:    newParam(4*h, h),
-			B:     newParam(1, 4*h),
-			inDim: d,
-		}
-		xavierInit(ly.Wx.W, d, h, rng)
-		xavierInit(ly.Wh.W, h, h, rng)
+	for l := range m.w.layers {
+		ly := &m.w.layers[l]
+		xavierInit(&ly.Wx, ly.Wx.Cols, h, rng)
+		xavierInit(&ly.Wh, h, h, rng)
 		for j := h; j < 2*h; j++ { // forget gate bias = 1
-			ly.B.W.Data[j] = 1
+			ly.B.Data[j] = 1
 		}
-		m.layers = append(m.layers, ly)
 	}
-	m.Wy = newParam(cfg.OutputSize, h)
-	m.By = newParam(1, cfg.OutputSize)
-	xavierInit(m.Wy.W, h, cfg.OutputSize, rng)
+	xavierInit(&m.w.Wy, h, cfg.OutputSize, rng)
 	return m, nil
 }
 
@@ -97,23 +75,8 @@ func xavierInit(w *mat.Matrix, fanIn, fanOut int, rng *rand.Rand) {
 	}
 }
 
-// Params returns every trainable parameter (for the optimizer and tests).
-func (m *LSTM) Params() []*Param {
-	var out []*Param
-	for _, ly := range m.layers {
-		out = append(out, ly.Wx, ly.Wh, ly.B)
-	}
-	return append(out, m.Wy, m.By)
-}
-
 // NumParams returns the total number of scalar weights.
-func (m *LSTM) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.W.Data)
-	}
-	return n
-}
+func (m *LSTM) NumParams() int { return len(m.w.flat) }
 
 // layerState caches one layer's forward activations for BPTT. gates[t] holds
 // the activated gates packed [i | f | o | g] per row, in the same layout as
@@ -130,8 +93,8 @@ type layerState struct {
 // inference passes scratch and its running state, so c may alias cPrev and h
 // may alias hPrev: each c element reads only its own previous value, and
 // hPrev is fully consumed by the gate product before h is written.
-func (ly *layer) cellStep(x, hPrev, cPrev, gates, c, tanhC, h *mat.Matrix) {
-	mat.MatMulBT2BiasInto(x, ly.Wx.W, hPrev, ly.Wh.W, ly.B.W.Data, gates)
+func (ly *layerTensors) cellStep(x, hPrev, cPrev, gates, c, tanhC, h *mat.Matrix) {
+	mat.MatMulBT2BiasInto(x, &ly.Wx, hPrev, &ly.Wh, ly.B.Data, gates)
 	hh := c.Cols
 	for r := 0; r < gates.Rows; r++ {
 		gr := gates.Row(r)
@@ -162,14 +125,14 @@ func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 // per-layer caches needed for backward. The returned matrices belong to a
 // workspace private to this call, so concurrent forward passes are safe.
 func (m *LSTM) forward(xs []*mat.Matrix) (*mat.Matrix, []*layerState) {
-	return m.forwardWS(xs, newWorkspace(m.Cfg, m.layers, xs[0].Rows, len(xs)))
+	return m.forwardWS(xs, newWorkspace(m.Cfg, xs[0].Rows, len(xs)))
 }
 
 // forwardWS is forward writing every activation into ws's pre-sized buffers.
 func (m *LSTM) forwardWS(xs []*mat.Matrix, ws *workspace) (*mat.Matrix, []*layerState) {
 	cur := xs
-	for l, ly := range m.layers {
-		st := ws.states[l]
+	for l := range m.w.layers {
+		ly, st := &m.w.layers[l], ws.states[l]
 		st.x = cur
 		hPrev, cPrev := ws.zeros, ws.zeros
 		for t := range cur {
@@ -179,22 +142,23 @@ func (m *LSTM) forwardWS(xs []*mat.Matrix, ws *workspace) (*mat.Matrix, []*layer
 		cur = st.h
 	}
 	last := cur[len(cur)-1]
-	mat.MatMulBTInto(last, m.Wy.W, ws.pred)
-	addRowBias(ws.pred, m.By.W.Data)
+	mat.MatMulBTInto(last, &m.w.Wy, ws.pred)
+	addRowBias(ws.pred, m.w.By.Data)
 	return ws.pred, ws.states
 }
 
 // backward accumulates gradients for a batch given dPred = ∂L/∂pred and
-// the caches from forward. Gradients are *added* into each Param.Grad.
-func (m *LSTM) backward(dPred *mat.Matrix, states []*layerState) {
-	m.backwardWS(dPred, states, newWorkspace(m.Cfg, m.layers, dPred.Rows, len(states[0].h)))
+// the caches from forward. Gradients are *added* into grad, which has the
+// layout of the network's weights.
+func (m *LSTM) backward(dPred *mat.Matrix, states []*layerState, grad *tensors) {
+	m.backwardWS(dPred, states, newWorkspace(m.Cfg, dPred.Rows, len(states[0].h)), grad)
 }
 
 // backwardWS is backward with every intermediate written into ws's buffers.
 // Weight gradients are computed into zeroed staging matrices and then
-// AddInPlace'd into Param.Grad, matching the allocating version's rounding
+// AddInPlace'd into grad, matching the allocating version's rounding
 // exactly.
-func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace) {
+func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace, grad *tensors) {
 	bsz := dPred.Rows
 	h := m.Cfg.HiddenSize
 	T := len(states[0].h)
@@ -202,8 +166,8 @@ func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace
 	top := states[len(states)-1]
 	hLast := top.h[T-1]
 	mat.MatMulATInto(dPred, hLast, ws.gWy)
-	m.Wy.Grad.AddInPlace(ws.gWy)
-	addColSums(m.By.Grad, dPred)
+	grad.Wy.AddInPlace(ws.gWy)
+	addColSums(&grad.By, dPred)
 
 	// dhSeq[t] holds external gradient flowing into layer l's h_t (from the
 	// head for the top layer, from layer l+1's dx for lower layers).
@@ -211,10 +175,10 @@ func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace
 	for t := range dhSeq {
 		dhSeq[t].Zero()
 	}
-	mat.MatMulInto(dPred, m.Wy.W, dhSeq[T-1])
+	mat.MatMulInto(dPred, &m.w.Wy, dhSeq[T-1])
 
-	for l := len(m.layers) - 1; l >= 0; l-- {
-		ly := m.layers[l]
+	for l := len(m.w.layers) - 1; l >= 0; l-- {
+		ly, g := &m.w.layers[l], &grad.layers[l]
 		st := states[l]
 		ws.dhCarry.Zero()
 		ws.dcCarry.Zero()
@@ -249,16 +213,16 @@ func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace
 			}
 
 			mat.MatMulATInto(dz, st.x[t], ws.gWx[l])
-			ly.Wx.Grad.AddInPlace(ws.gWx[l])
+			g.Wx.AddInPlace(ws.gWx[l])
 			if t > 0 {
 				mat.MatMulATInto(dz, st.h[t-1], ws.gWh[l])
-				ly.Wh.Grad.AddInPlace(ws.gWh[l])
-				mat.MatMulInto(dz, ly.Wh.W, ws.dhCarry)
+				g.Wh.AddInPlace(ws.gWh[l])
+				mat.MatMulInto(dz, &ly.Wh, ws.dhCarry)
 			}
-			addColSums(ly.B.Grad, dz)
+			addColSums(&g.B, dz)
 			if l > 0 {
 				// The bottom layer's dx is never read, so skip computing it.
-				mat.MatMulInto(dz, ly.Wx.W, dxSeq[t])
+				mat.MatMulInto(dz, &ly.Wx, dxSeq[t])
 			}
 		}
 		dhSeq, dxSeq = dxSeq, dhSeq // dx becomes the external dh of the layer below

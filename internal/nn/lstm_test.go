@@ -42,13 +42,13 @@ func TestNumParamsCounts(t *testing.T) {
 
 func TestForgetGateBiasInit(t *testing.T) {
 	m := newTestNet(t, Config{1, 4, 2, 1}, 1)
-	for l, ly := range m.layers {
+	for l, ly := range m.w.layers {
 		for j := 0; j < 4; j++ {
-			if ly.B.W.Data[4+j] != 1 {
-				t.Fatalf("layer %d forget bias[%d] = %v, want 1", l, j, ly.B.W.Data[4+j])
+			if ly.B.Data[4+j] != 1 {
+				t.Fatalf("layer %d forget bias[%d] = %v, want 1", l, j, ly.B.Data[4+j])
 			}
-			if ly.B.W.Data[j] != 0 {
-				t.Fatalf("layer %d input-gate bias[%d] = %v, want 0", l, j, ly.B.W.Data[j])
+			if ly.B.Data[j] != 0 {
+				t.Fatalf("layer %d input-gate bias[%d] = %v, want 0", l, j, ly.B.Data[j])
 			}
 		}
 	}
@@ -135,10 +135,7 @@ func TestGradientsMatchNumeric(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	params := m.Params()
-	for _, p := range params {
-		p.zeroGrad()
-	}
+	grad := newTensors(cfg.shapes())
 	xs, err := m.packInputs(inputs)
 	if err != nil {
 		t.Fatal(err)
@@ -148,20 +145,21 @@ func TestGradientsMatchNumeric(t *testing.T) {
 	for b := 0; b < bsz; b++ {
 		dPred.Set(b, 0, 2*(pred.At(b, 0)-targets[b])/bsz)
 	}
-	m.backward(dPred, states)
+	m.backward(dPred, states, &grad)
 
 	// Numeric comparison on every 3rd weight of every parameter tensor.
 	const eps = 1e-5
-	for pi, p := range params {
-		for wi := 0; wi < len(p.W.Data); wi += 3 {
-			orig := p.W.Data[wi]
-			p.W.Data[wi] = orig + eps
+	grads := grad.views()
+	for pi, p := range m.w.views() {
+		for wi := 0; wi < len(p.Data); wi += 3 {
+			orig := p.Data[wi]
+			p.Data[wi] = orig + eps
 			lp := loss()
-			p.W.Data[wi] = orig - eps
+			p.Data[wi] = orig - eps
 			lm := loss()
-			p.W.Data[wi] = orig
+			p.Data[wi] = orig
 			numeric := (lp - lm) / (2 * eps)
-			analytic := p.Grad.Data[wi]
+			analytic := grads[pi].Data[wi]
 			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)+math.Abs(analytic)) {
 				t.Fatalf("param %d weight %d: analytic %v vs numeric %v", pi, wi, analytic, numeric)
 			}
@@ -170,34 +168,33 @@ func TestGradientsMatchNumeric(t *testing.T) {
 }
 
 func TestClipGradNorm(t *testing.T) {
-	p := newParam(1, 3)
-	copy(p.Grad.Data, []float64{3, 4, 0}) // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
+	g := []float64{3, 4, 0} // norm 5
+	pre := clipGradNorm(g, 1)
 	if math.Abs(pre-5) > 1e-12 {
 		t.Fatalf("pre-clip norm = %v, want 5", pre)
 	}
-	post := math.Sqrt(p.Grad.Data[0]*p.Grad.Data[0] + p.Grad.Data[1]*p.Grad.Data[1])
+	post := math.Sqrt(g[0]*g[0] + g[1]*g[1])
 	if math.Abs(post-1) > 1e-12 {
 		t.Fatalf("post-clip norm = %v, want 1", post)
 	}
 	// Below the threshold gradients are untouched.
-	copy(p.Grad.Data, []float64{0.3, 0.4, 0})
-	ClipGradNorm([]*Param{p}, 1)
-	if p.Grad.Data[0] != 0.3 || p.Grad.Data[1] != 0.4 {
+	copy(g, []float64{0.3, 0.4, 0})
+	clipGradNorm(g, 1)
+	if g[0] != 0.3 || g[1] != 0.4 {
 		t.Fatal("gradients below threshold must not be rescaled")
 	}
 }
 
 func TestAdamMovesTowardMinimum(t *testing.T) {
 	// Minimize f(w) = (w-3)² with Adam; gradient = 2(w-3).
-	p := newParam(1, 1)
-	opt := NewAdam(0.1)
+	w, g := []float64{0}, []float64{0}
+	opt := newAdam(0.1, 1)
 	for i := 0; i < 500; i++ {
-		p.Grad.Data[0] = 2 * (p.W.Data[0] - 3)
-		opt.Step([]*Param{p})
+		g[0] = 2 * (w[0] - 3)
+		opt.update(w, g)
 	}
-	if math.Abs(p.W.Data[0]-3) > 0.01 {
-		t.Fatalf("Adam converged to %v, want 3", p.W.Data[0])
+	if math.Abs(w[0]-3) > 0.01 {
+		t.Fatalf("Adam converged to %v, want 3", w[0])
 	}
 }
 

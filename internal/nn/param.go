@@ -11,80 +11,116 @@ import (
 	"loaddynamics/internal/mat"
 )
 
-// Param is one trainable tensor together with its gradient accumulator and
-// the Adam moment estimates.
-type Param struct {
-	W    *mat.Matrix // value
-	Grad *mat.Matrix // dL/dW, accumulated during a backward pass
-	m, v *mat.Matrix // Adam first/second moment estimates
+// tensors holds one value per trainable weight of a network, as matrix
+// views into one flat slab. The slab is in Snapshot order: per layer Wx, Wh
+// and B, then the head Wy and By. A network's weights are a tensors; a
+// training run keeps its gradients in a second one of the same layout, and
+// the optimizer and the gradient clip walk the flat slabs element by element
+// in that order.
+type tensors struct {
+	flat   []float64
+	layers []layerTensors
+	Wy, By mat.Matrix // fully-connected head T
 }
 
-func newParam(rows, cols int) *Param {
-	return &Param{
-		W:    mat.New(rows, cols),
-		Grad: mat.New(rows, cols),
-		m:    mat.New(rows, cols),
-		v:    mat.New(rows, cols),
+// layerTensors are the tensors of one LSTM layer. The four gates (input,
+// forget, output, candidate — i, f, o, g) are packed along the row
+// dimension in that order, so Wx is (4H × D), Wh is (4H × H) and B is
+// (1 × 4H).
+type layerTensors struct {
+	Wx, Wh, B mat.Matrix
+}
+
+// shapes returns the (rows, cols) of every tensor in slab order.
+func (c Config) shapes() [][2]int {
+	h := c.HiddenSize
+	out := make([][2]int, 0, 3*c.Layers+2)
+	for l := 0; l < c.Layers; l++ {
+		d := c.InputSize
+		if l > 0 {
+			d = h
+		}
+		out = append(out, [2]int{4 * h, d}, [2]int{4 * h, h}, [2]int{1, 4 * h})
 	}
+	return append(out, [2]int{c.OutputSize, h}, [2]int{1, c.OutputSize})
 }
 
-// zeroGrad clears the gradient accumulator.
-func (p *Param) zeroGrad() {
-	for i := range p.Grad.Data {
-		p.Grad.Data[i] = 0
+// newTensors allocates one zeroed slab for the shapes and lays out its
+// views.
+func newTensors(shapes [][2]int) tensors {
+	n := 0
+	for _, s := range shapes {
+		n += s[0] * s[1]
 	}
+	t := tensors{flat: make([]float64, n), layers: make([]layerTensors, (len(shapes)-2)/3)}
+	off := 0
+	view := func(s [2]int) mat.Matrix {
+		n := s[0] * s[1]
+		m := mat.Matrix{Rows: s[0], Cols: s[1], Data: t.flat[off : off+n : off+n]}
+		off += n
+		return m
+	}
+	for l := range t.layers {
+		ly := &t.layers[l]
+		ly.Wx, ly.Wh, ly.B = view(shapes[3*l]), view(shapes[3*l+1]), view(shapes[3*l+2])
+	}
+	t.Wy, t.By = view(shapes[len(shapes)-2]), view(shapes[len(shapes)-1])
+	return t
 }
 
-// Adam implements the Adam optimization algorithm (Kingma & Ba, 2015) with
-// the standard bias-corrected moment estimates.
-type Adam struct {
-	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Epsilon float64
-	step    int
+// views returns every tensor in slab order.
+func (t *tensors) views() []*mat.Matrix {
+	out := make([]*mat.Matrix, 0, 3*len(t.layers)+2)
+	for l := range t.layers {
+		ly := &t.layers[l]
+		out = append(out, &ly.Wx, &ly.Wh, &ly.B)
+	}
+	return append(out, &t.Wy, &t.By)
 }
 
-// NewAdam returns an Adam optimizer with the canonical β₁=0.9, β₂=0.999,
-// ε=1e-8 defaults.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
+// adam implements the Adam optimization algorithm (Kingma & Ba, 2015) with
+// the standard bias-corrected moment estimates. Its moments live as long
+// as the training run that owns it.
+type adam struct {
+	lr, beta1, beta2, eps float64
+	step                  int
+	m, v                  []float64 // first/second moment estimates, one per weight
 }
 
-// Step applies one Adam update to every parameter using the gradients
-// currently stored in each Param.
-func (a *Adam) Step(params []*Param) {
+// newAdam returns an optimizer for n weights with the canonical β₁=0.9,
+// β₂=0.999, ε=1e-8 defaults and zeroed moments.
+func newAdam(lr float64, n int) *adam {
+	return &adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8,
+		m: make([]float64, n), v: make([]float64, n)}
+}
+
+// update applies one Adam step to the weights w given their gradients g.
+func (a *adam) update(w, g []float64) {
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, p := range params {
-		for i, g := range p.Grad.Data {
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
-			mHat := p.m.Data[i] / c1
-			vHat := p.v.Data[i] / c2
-			p.W.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
+	c1 := 1 - math.Pow(a.beta1, float64(a.step))
+	c2 := 1 - math.Pow(a.beta2, float64(a.step))
+	for i, gi := range g {
+		a.m[i] = a.beta1*a.m[i] + (1-a.beta1)*gi
+		a.v[i] = a.beta2*a.v[i] + (1-a.beta2)*gi*gi
+		mHat := a.m[i] / c1
+		vHat := a.v[i] / c2
+		w[i] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
 	}
 }
 
-// ClipGradNorm rescales all gradients so their combined Euclidean norm does
-// not exceed maxNorm, the standard remedy for exploding LSTM gradients.
-// It returns the pre-clip norm.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
+// clipGradNorm rescales the gradients so their Euclidean norm does not
+// exceed maxNorm, the standard remedy for exploding LSTM gradients. It
+// returns the pre-clip norm.
+func clipGradNorm(g []float64, maxNorm float64) float64 {
 	var sq float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			sq += g * g
-		}
+	for _, v := range g {
+		sq += v * v
 	}
 	norm := math.Sqrt(sq)
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
-		for _, p := range params {
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] *= scale
-			}
+		for i := range g {
+			g[i] *= scale
 		}
 	}
 	return norm

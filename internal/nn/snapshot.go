@@ -1,12 +1,9 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Snapshot is a serializable copy of a network's architecture and weights,
-// used to persist trained predictors. Weights appear in Params() order
+// used to persist trained predictors. Weights appear in slab order
 // (per layer: Wx, Wh, B; then the head Wy, By), each flattened row-major.
 type Snapshot struct {
 	Config  Config      `json:"config"`
@@ -15,34 +12,36 @@ type Snapshot struct {
 
 // Snapshot captures the network's current weights.
 func (m *LSTM) Snapshot() Snapshot {
-	params := m.Params()
-	weights := make([][]float64, len(params))
-	for i, p := range params {
-		weights[i] = append([]float64(nil), p.W.Data...)
+	views := m.w.views()
+	weights := make([][]float64, len(views))
+	for i, v := range views {
+		weights[i] = append([]float64(nil), v.Data...)
 	}
 	return Snapshot{Config: m.Cfg, Weights: weights}
 }
 
-// FromSnapshot reconstructs a network from a snapshot, validating that the
-// weight shapes match the architecture.
+// FromSnapshot reconstructs a network from a snapshot. Every tensor's
+// length is checked against the architecture before anything is
+// allocated, so a snapshot that declares a huge network without carrying
+// its weights is rejected at the cost of the check; the weights are then
+// copied once into the network's slab.
 func FromSnapshot(s Snapshot) (*LSTM, error) {
 	if err := s.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: snapshot: %w", err)
 	}
-	// Build with a throwaway deterministic init, then overwrite weights.
-	m, err := NewLSTM(s.Config, rand.New(rand.NewSource(0)))
-	if err != nil {
-		return nil, err
+	shapes := s.Config.shapes()
+	if len(s.Weights) != len(shapes) {
+		return nil, fmt.Errorf("nn: snapshot has %d weight tensors, architecture needs %d", len(s.Weights), len(shapes))
 	}
-	params := m.Params()
-	if len(params) != len(s.Weights) {
-		return nil, fmt.Errorf("nn: snapshot has %d weight tensors, architecture needs %d", len(s.Weights), len(params))
-	}
-	for i, p := range params {
-		if len(s.Weights[i]) != len(p.W.Data) {
-			return nil, fmt.Errorf("nn: snapshot tensor %d has %d weights, want %d", i, len(s.Weights[i]), len(p.W.Data))
+	for i, sh := range shapes {
+		// n == rows·cols without forming the product, which can overflow.
+		if n := len(s.Weights[i]); n%sh[1] != 0 || n/sh[1] != sh[0] {
+			return nil, fmt.Errorf("nn: snapshot tensor %d has %d weights, want %d×%d", i, n, sh[0], sh[1])
 		}
-		copy(p.W.Data, s.Weights[i])
+	}
+	m := &LSTM{Cfg: s.Config, w: newTensors(shapes)}
+	for i, v := range m.w.views() {
+		copy(v.Data, s.Weights[i])
 	}
 	return m, nil
 }

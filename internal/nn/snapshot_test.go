@@ -30,7 +30,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 	m := newTestNet(t, Config{1, 4, 1, 1}, 32)
 	snap := m.Snapshot()
 	orig := snap.Weights[0][0]
-	m.Params()[0].W.Data[0] = 999
+	m.w.flat[0] = 999
 	if snap.Weights[0][0] != orig {
 		t.Fatal("snapshot aliases live weights")
 	}

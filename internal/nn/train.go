@@ -89,8 +89,7 @@ func (m *LSTM) TrainContext(ctx context.Context, inputs [][]float64, targets []f
 	}
 
 	rng := rand.New(rand.NewSource(tc.Seed))
-	opt := NewAdam(tc.LearningRate)
-	params := m.Params()
+	tr := newTrainer(m, tc)
 	idx := make([]int, len(inputs))
 	for i := range idx {
 		idx[i] = i
@@ -113,7 +112,7 @@ func (m *LSTM) TrainContext(ctx context.Context, inputs [][]float64, targets []f
 				return 0, fmt.Errorf("nn: training interrupted at epoch %d: %w", epoch, err)
 			}
 			batch := idx[lo:hi]
-			loss, err := m.trainBatch(inputs, targets, batch, opt, params, tc.ClipNorm, tc.Loss)
+			loss, err := tr.step(inputs, targets, batch)
 			if err != nil {
 				return 0, err
 			}
@@ -125,7 +124,7 @@ func (m *LSTM) TrainContext(ctx context.Context, inputs [][]float64, targets []f
 			batches++
 		}
 		epochLoss /= float64(batches)
-		if !paramsFinite(params) {
+		if !finite(m.w.flat) {
 			divergedCount.Inc()
 			return 0, fmt.Errorf("nn: epoch %d: non-finite weights: %w", epoch, ErrDiverged)
 		}
@@ -147,32 +146,56 @@ func (m *LSTM) TrainContext(ctx context.Context, inputs [][]float64, targets []f
 	return epochLoss, nil
 }
 
-// paramsFinite reports whether every trainable weight is finite.
-func paramsFinite(params []*Param) bool {
-	for _, p := range params {
-		for _, v := range p.W.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
+// finite reports whether every value is finite.
+func finite(vs []float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
 		}
 	}
 	return true
 }
 
-// trainBatch runs forward + backward + optimizer step on one mini-batch and
-// returns its loss. All intermediates live in a per-batch-size workspace
-// cached on the model, so a steady-state training step allocates nothing.
-func (m *LSTM) trainBatch(inputs [][]float64, targets []float64, batch []int, opt *Adam, params []*Param, clip float64, lossFn Loss) (float64, error) {
-	histories := m.histBuf[:0]
+// trainer is the state of one training run: the gradients, the Adam
+// moments and the per-batch-size BPTT workspaces. It lives for one
+// TrainContext call, so the network it trains keeps only its weights once
+// the call returns. Moments and gradients start at zero on every run.
+type trainer struct {
+	net     *LSTM
+	grad    tensors // dL/dW, laid out like net.w
+	opt     *adam
+	clip    float64
+	loss    Loss
+	wss     map[int]*workspace // keyed by batch size
+	histBuf [][]float64
+}
+
+func newTrainer(m *LSTM, tc TrainConfig) *trainer {
+	return &trainer{
+		net:  m,
+		grad: newTensors(m.Cfg.shapes()),
+		opt:  newAdam(tc.LearningRate, len(m.w.flat)),
+		clip: tc.ClipNorm,
+		loss: tc.Loss,
+		wss:  make(map[int]*workspace, 2),
+	}
+}
+
+// step runs forward + backward + optimizer step on one mini-batch and
+// returns its loss. All intermediates live in the run's per-batch-size
+// workspace, so a steady-state training step allocates nothing.
+func (tr *trainer) step(inputs [][]float64, targets []float64, batch []int) (float64, error) {
+	m := tr.net
+	histories := tr.histBuf[:0]
 	for _, b := range batch {
 		histories = append(histories, inputs[b])
 	}
-	m.histBuf = histories
+	tr.histBuf = histories
 	T, err := m.validateBatch(histories)
 	if err != nil {
 		return 0, err
 	}
-	ws := m.trainWorkspace(len(batch), T)
+	ws := tr.workspace(len(batch), T)
 	packInputsInto(histories, ws.xs)
 	pred, states := m.forwardWS(ws.xs, ws)
 
@@ -182,20 +205,18 @@ func (m *LSTM) trainBatch(inputs [][]float64, targets []float64, batch []int, op
 	dPred.Zero()
 	loss := 0.0
 	for i, b := range batch {
-		l, g := lossFn.lossAndGrad(pred.At(i, 0), targets[b])
+		l, g := tr.loss.lossAndGrad(pred.At(i, 0), targets[b])
 		loss += l
 		dPred.Set(i, 0, g/bsz)
 	}
 	loss /= bsz
 
-	for _, p := range params {
-		p.zeroGrad()
+	clear(tr.grad.flat)
+	m.backwardWS(dPred, states, ws, &tr.grad)
+	if tr.clip > 0 {
+		clipGradNorm(tr.grad.flat, tr.clip)
 	}
-	m.backwardWS(dPred, states, ws)
-	if clip > 0 {
-		ClipGradNorm(params, clip)
-	}
-	opt.Step(params)
+	tr.opt.update(m.w.flat, tr.grad.flat)
 	return loss, nil
 }
 

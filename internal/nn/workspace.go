@@ -5,10 +5,11 @@ import "loaddynamics/internal/mat"
 // workspace holds every scratch matrix forward/backward need for one batch
 // shape, so training reuses pre-sized buffers across batches instead of
 // allocating fresh matrices every step. A workspace is sized for a fixed
-// (batch, sequence-length) pair and owned by a single goroutine; Train keeps
-// one per batch size it encounters. The inference path does not use this
-// type at all — it runs on the pooled streaming inferWorkspace (infer.go),
-// which needs no per-timestep caches and is safe for concurrent use.
+// (batch, sequence-length) pair and owned by a single goroutine; a training
+// run keeps one per batch size it encounters. The inference path does not
+// use this type at all — it runs on the pooled streaming inferWorkspace
+// (infer.go), which needs no per-timestep caches and is safe for concurrent
+// use.
 type workspace struct {
 	bsz, T int
 
@@ -29,9 +30,9 @@ type workspace struct {
 	gWx, gWh []*mat.Matrix // per-layer weight-gradient staging
 }
 
-// newWorkspace allocates every buffer for a (bsz, T) batch of the given
-// network.
-func newWorkspace(cfg Config, layers []*layer, bsz, T int) *workspace {
+// newWorkspace allocates every buffer for a (bsz, T) batch of a network
+// with the given architecture.
+func newWorkspace(cfg Config, bsz, T int) *workspace {
 	h := cfg.HiddenSize
 	ws := &workspace{
 		bsz:     bsz,
@@ -52,10 +53,11 @@ func newWorkspace(cfg Config, layers []*layer, bsz, T int) *workspace {
 		ws.dhSeq[t] = mat.New(bsz, h)
 		ws.dxSeq[t] = mat.New(bsz, h)
 	}
-	ws.states = make([]*layerState, len(layers))
-	ws.gWx = make([]*mat.Matrix, len(layers))
-	ws.gWh = make([]*mat.Matrix, len(layers))
-	for l, ly := range layers {
+	shapes := cfg.shapes()
+	ws.states = make([]*layerState, cfg.Layers)
+	ws.gWx = make([]*mat.Matrix, cfg.Layers)
+	ws.gWh = make([]*mat.Matrix, cfg.Layers)
+	for l := range ws.states {
 		st := &layerState{
 			gates: make([]*mat.Matrix, T),
 			c:     make([]*mat.Matrix, T),
@@ -69,24 +71,21 @@ func newWorkspace(cfg Config, layers []*layer, bsz, T int) *workspace {
 			st.h[t] = mat.New(bsz, h)
 		}
 		ws.states[l] = st
-		ws.gWx[l] = mat.New(4*h, ly.inDim)
+		wx := shapes[3*l]
+		ws.gWx[l] = mat.New(wx[0], wx[1])
 		ws.gWh[l] = mat.New(4*h, h)
 	}
 	return ws
 }
 
-// trainWorkspace returns a cached workspace for the batch shape, building
-// one on first use. Train sees at most two batch sizes per dataset (the
-// configured size and the final remainder), so the map stays tiny. Not safe
-// for concurrent use — training already is not.
-func (m *LSTM) trainWorkspace(bsz, T int) *workspace {
-	if m.wss == nil {
-		m.wss = make(map[int]*workspace, 2)
-	}
-	ws := m.wss[bsz]
+// workspace returns the run's workspace for the batch shape, building one
+// on first use. A run sees at most two batch sizes per dataset (the
+// configured size and the final remainder), so the map stays tiny.
+func (tr *trainer) workspace(bsz, T int) *workspace {
+	ws := tr.wss[bsz]
 	if ws == nil || ws.T != T {
-		ws = newWorkspace(m.Cfg, m.layers, bsz, T)
-		m.wss[bsz] = ws
+		ws = newWorkspace(tr.net.Cfg, bsz, T)
+		tr.wss[bsz] = ws
 	}
 	return ws
 }

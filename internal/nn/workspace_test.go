@@ -7,19 +7,10 @@ import (
 	"loaddynamics/internal/mat"
 )
 
-// cloneGrads snapshots every parameter gradient.
-func cloneGrads(params []*Param) []*mat.Matrix {
-	out := make([]*mat.Matrix, len(params))
-	for i, p := range params {
-		out[i] = p.Grad.Clone()
-	}
-	return out
-}
-
 // TestWorkspaceReuseMatchesFresh is the buffer-hygiene property: running
-// forward/backward through the cached training workspace — after it has been
-// polluted by earlier batches of the same and of different shapes — must
-// produce bit-identical predictions and gradients to a fresh throwaway
+// forward/backward through a training run's cached workspace — after it has
+// been polluted by earlier batches of the same and of different shapes —
+// must produce bit-identical predictions and gradients to a fresh throwaway
 // workspace.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -27,7 +18,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := m.Params()
+	tr := newTrainer(m, DefaultTrainConfig())
+	fresh := newTensors(m.Cfg.shapes())
 
 	randBatch := func(bsz, T int) ([][]float64, *mat.Matrix) {
 		hs := make([][]float64, bsz)
@@ -55,20 +47,15 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range params {
-			p.zeroGrad()
-		}
+		clear(fresh.flat)
 		predFresh, statesFresh := m.forward(xs)
 		predFreshCopy := predFresh.Clone()
-		m.backward(dPred, statesFresh)
-		gradsFresh := cloneGrads(params)
+		m.backward(dPred, statesFresh, &fresh)
 
 		// Same batch through the cached, previously-used workspace.
-		ws := m.trainWorkspace(sh.bsz, sh.T)
+		ws := tr.workspace(sh.bsz, sh.T)
 		packInputsInto(hs, ws.xs)
-		for _, p := range params {
-			p.zeroGrad()
-		}
+		clear(tr.grad.flat)
 		predWS, statesWS := m.forwardWS(ws.xs, ws)
 		for r := 0; r < predWS.Rows; r++ {
 			for c := 0; c < predWS.Cols; c++ {
@@ -78,24 +65,23 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-		m.backwardWS(dPred, statesWS, ws)
-		for i, p := range params {
-			for k, v := range p.Grad.Data {
-				if v != gradsFresh[i].Data[k] {
-					t.Fatalf("round %d: param %d grad[%d] = %v via reused workspace, fresh %v",
-						round, i, k, v, gradsFresh[i].Data[k])
-				}
+		m.backwardWS(dPred, statesWS, ws, &tr.grad)
+		for k, v := range tr.grad.flat {
+			if v != fresh.flat[k] {
+				t.Fatalf("round %d: grad[%d] = %v via reused workspace, fresh %v",
+					round, k, v, fresh.flat[k])
 			}
 		}
 	}
-	if len(m.wss) != 2 {
-		t.Fatalf("expected 2 cached workspaces (one per batch size), got %d", len(m.wss))
+	if len(tr.wss) != 2 {
+		t.Fatalf("expected 2 cached workspaces (one per batch size), got %d", len(tr.wss))
 	}
 }
 
-// Training must be deterministic across workspace cache states: a freshly
+// Training must not depend on what the network did before: a freshly
 // restored model trained on the same data with the same seed must land on
-// identical weights as one whose workspace map was already warm.
+// identical weights as one that has served forecasts and run forward and
+// backward passes of an earlier, discarded training run.
 func TestTrainDeterministicWithWarmWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m1, err := NewLSTM(Config{InputSize: 1, HiddenSize: 5, Layers: 1, OutputSize: 1}, rng)
@@ -122,15 +108,17 @@ func TestTrainDeterministicWithWarmWorkspace(t *testing.T) {
 	tc.BatchSize = 8
 	tc.Seed = 7
 
-	// Warm m2's workspace cache on unrelated shapes first.
+	// Use m2 first: warm its inference pools, and run forward and backward
+	// through a training run's workspace on unrelated shapes.
 	warm, dPred := [][]float64{{1, 2, 3}, {4, 5, 6}}, mat.New(2, 1)
-	xsWarm := m2.trainWorkspace(2, 3).xs
-	packInputsInto(warm, xsWarm)
-	_, st := m2.forwardWS(xsWarm, m2.trainWorkspace(2, 3))
-	m2.backwardWS(dPred, st, m2.trainWorkspace(2, 3))
-	for _, p := range m2.Params() {
-		p.zeroGrad()
+	if _, err := m2.PredictBatch(warm); err != nil {
+		t.Fatal(err)
 	}
+	tr := newTrainer(m2, tc)
+	ws := tr.workspace(2, 3)
+	packInputsInto(warm, ws.xs)
+	_, st := m2.forwardWS(ws.xs, ws)
+	m2.backwardWS(dPred, st, ws, &tr.grad)
 
 	l1, err := m1.Train(inputs, targets, tc)
 	if err != nil {
@@ -143,13 +131,9 @@ func TestTrainDeterministicWithWarmWorkspace(t *testing.T) {
 	if l1 != l2 {
 		t.Fatalf("final losses differ: cold %v, warm %v", l1, l2)
 	}
-	p1, p2 := m1.Params(), m2.Params()
-	for i := range p1 {
-		for k := range p1[i].W.Data {
-			if p1[i].W.Data[k] != p2[i].W.Data[k] {
-				t.Fatalf("param %d weight %d differs: cold %v, warm %v",
-					i, k, p1[i].W.Data[k], p2[i].W.Data[k])
-			}
+	for k, w := range m1.w.flat {
+		if w != m2.w.flat[k] {
+			t.Fatalf("weight %d differs: cold %v, warm %v", k, w, m2.w.flat[k])
 		}
 	}
 }

@@ -38,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"loaddynamics/internal/ringbuf"
 )
 
 // Flight event kinds recorded by the fleet pipeline.
@@ -229,13 +231,12 @@ func (s *flightSlot) event(workload string) FlightEvent {
 }
 
 // flightRing is one workload's bounded event buffer. Each ring has its
-// own mutex so hot workloads do not serialize against each other.
+// own mutex so hot workloads do not serialize against each other. The
+// slots grow with what is recorded, up to the recorder's Cap.
 type flightRing struct {
 	workload string
 	mu       sync.Mutex
-	slots    []flightSlot
-	next     int
-	n        int // total recorded (resident = min(n, cap))
+	slots    ringbuf.Ring[flightSlot]
 	// routine counts sampleable events admitted so far; drives the
 	// 1-in-SampleEvery tail-sampling decision deterministically.
 	routine int64
@@ -243,7 +244,8 @@ type flightRing struct {
 
 // FlightRecorderOptions tune a recorder.
 type FlightRecorderOptions struct {
-	// Cap is the per-workload event capacity (default 256).
+	// Cap is the per-workload event capacity (default 256), an upper bound
+	// each ring grows to as it records.
 	Cap int
 	// SampleEvery tail-samples routine events: only every Nth sampleable
 	// event per workload is kept (default 1 — keep everything). Forced
@@ -333,7 +335,7 @@ func (r *FlightRecorder) ring(workload string) *flightRing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if fr = r.rings[workload]; fr == nil {
-		fr = &flightRing{workload: workload, slots: make([]flightSlot, r.cap)}
+		fr = &flightRing{workload: workload, slots: ringbuf.New[flightSlot](r.cap)}
 		r.rings[workload] = fr
 	}
 	return fr
@@ -443,9 +445,7 @@ func (r *FlightRecorder) record(fr *flightRing, s *flightSlot, sampled, stamp bo
 	if stamp {
 		s.nanos = r.clock()
 	}
-	fr.slots[fr.next] = *s
-	fr.next = (fr.next + 1) % len(fr.slots)
-	fr.n++
+	fr.slots.Push(*s)
 	fr.mu.Unlock()
 	return s.id
 }
@@ -466,25 +466,13 @@ func (r *FlightRecorder) Events(workload string) []FlightEvent {
 	// Copy the slots under the lock and build the events (and their
 	// attribute maps) after releasing it, so readers barely block writers.
 	fr.mu.Lock()
-	n := fr.resident()
-	slots := make([]flightSlot, 0, n)
-	if fr.n > len(fr.slots) { // wrapped: oldest sits at next
-		slots = append(slots, fr.slots[fr.next:]...)
-		slots = append(slots, fr.slots[:fr.next]...)
-	} else {
-		slots = append(slots, fr.slots[:n]...)
-	}
+	slots := fr.slots.AppendTo(make([]flightSlot, 0, fr.slots.Len()))
 	fr.mu.Unlock()
-	out := make([]FlightEvent, n)
+	out := make([]FlightEvent, len(slots))
 	for i := range slots {
 		out[i] = slots[i].event(fr.workload)
 	}
 	return out
-}
-
-// resident is the number of events the ring holds (callers hold fr.mu).
-func (fr *flightRing) resident() int {
-	return min(fr.n, len(fr.slots))
 }
 
 // Workloads returns the IDs with at least one recorded event, sorted.
@@ -534,7 +522,7 @@ func (r *FlightRecorder) Stats() FlightStats {
 	r.mu.RUnlock()
 	for id, fr := range rings {
 		fr.mu.Lock()
-		n := fr.resident()
+		n := fr.slots.Len()
 		fr.mu.Unlock()
 		st.Workloads[id] = n
 	}

@@ -115,6 +115,37 @@ func TestFlightRingWrap(t *testing.T) {
 	}
 }
 
+// TestFlightRingGrowsOnDemand pins a workload's flight ring to what it has
+// recorded: it holds fewer than Cap slots until it has recorded Cap events,
+// exactly Cap from then on, and events keep their order across every
+// growth step and the wrap.
+func TestFlightRingGrowsOnDemand(t *testing.T) {
+	const capacity = 256
+	r := NewFlightRecorder(FlightRecorderOptions{Cap: capacity})
+	for k := 1; k <= capacity+capacity/2; k++ {
+		r.RecordBatch("w", TraceCtx{}, IngestAttrs{Samples: k}, true)
+		held := r.rings["w"].slots.Held()
+		if k <= capacity/2 && held >= capacity {
+			t.Fatalf("%d events hold %d slots, want fewer than Cap %d", k, held, capacity)
+		}
+		if k >= capacity && held != capacity {
+			t.Fatalf("after %d events the ring holds %d slots, want exactly Cap %d", k, held, capacity)
+		}
+		if k%37 == 0 || k == capacity+1 {
+			events := r.Events("w")
+			first := max(1, k-capacity+1)
+			if len(events) != k-first+1 {
+				t.Fatalf("after %d events: %d resident, want %d", k, len(events), k-first+1)
+			}
+			for i, ev := range events {
+				if got := ev.Attrs["samples"]; got != first+i {
+					t.Fatalf("after %d events: event %d has samples %v, want %d", k, i, got, first+i)
+				}
+			}
+		}
+	}
+}
+
 // TestFlightTailSampling pins the sampling contract: with SampleEvery=3
 // only every third routine event is kept (per workload,
 // deterministically), while Record — used for drift transitions and

@@ -11,13 +11,14 @@
 #   4. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
 #   5. gofmt: every Go file outside hidden directories is gofmt-clean
-#   6. coverage report for the observability, framework, fleet, WAL,
-#      serving, loadgen and profile layers, with hard floors on
-#      internal/obs, internal/fleet, internal/wal, internal/serve,
-#      internal/loadgen and internal/profile
+#   6. coverage report for the network, observability, framework, fleet,
+#      WAL, serving, loadgen and profile layers, with hard floors on every
+#      one of them
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+NN_COVER_FLOOR=90
+CORE_COVER_FLOOR=80
 OBS_COVER_FLOOR=80
 FLEET_COVER_FLOOR=80
 WAL_COVER_FLOOR=80
@@ -64,11 +65,13 @@ echo "ok: gofmt -l lists no files"
 
 echo "== coverage =="
 fail=0
-for pkg in internal/obs internal/core internal/serve internal/fleet internal/wal internal/loadgen internal/profile; do
+for pkg in internal/nn internal/obs internal/core internal/serve internal/fleet internal/wal internal/loadgen internal/profile; do
     pct=$(go test -cover "./$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {sub(/%/,"",$i); print $i; exit}}')
     echo "coverage ./$pkg: ${pct}%"
     floor=
     case "$pkg" in
+        internal/nn) floor=$NN_COVER_FLOOR ;;
+        internal/core) floor=$CORE_COVER_FLOOR ;;
         internal/obs) floor=$OBS_COVER_FLOOR ;;
         internal/fleet) floor=$FLEET_COVER_FLOOR ;;
         internal/wal) floor=$WAL_COVER_FLOOR ;;
