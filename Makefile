@@ -18,7 +18,7 @@ fuzz-seeds:
 	go test -run 'Fuzz' ./internal/core ./internal/serve ./internal/obs ./internal/wal ./internal/profile
 
 cover:
-	go test -cover ./internal/nn ./internal/obs ./internal/core ./internal/serve ./internal/fleet ./internal/wal ./internal/loadgen ./internal/profile
+	go test -cover ./internal/nn ./internal/bo ./internal/gp ./internal/obs ./internal/core ./internal/serve ./internal/fleet ./internal/wal ./internal/loadgen ./internal/profile
 
 bench:
 	./scripts/bench.sh

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"loaddynamics/internal/gp"
@@ -115,14 +116,65 @@ func clampInt(v, lo, hi int) int {
 // the point as failed; the search continues with other points.
 type Objective func(point []int) (float64, error)
 
-// Evaluation is one explored point with its objective value.
-type Evaluation struct {
-	Point []int
-	Value float64
-	Err   error
+// Trial is one objective evaluation that the engine can pause once, at its
+// rung, to compare it with the other evaluations of its batch — the single
+// decision point of one-rung successive halving. The engine calls Rung and
+// then, unless Rung reported the evaluation done, exactly one of Finish or
+// Prune; a batch of one point skips the rung and calls Finish alone.
+type Trial interface {
+	// Rung runs the evaluation up to its rung and returns its value there.
+	// done reports that the evaluation ended first; value and err are then
+	// final and the evaluation is never pruned.
+	Rung() (value float64, done bool, err error)
+	// Finish runs the evaluation to its end and returns its final value.
+	Finish() (float64, error)
+	// Prune stops a paused evaluation for good: its rung value is what the
+	// search records for it.
+	Prune()
 }
 
-// Result summarizes a finished search.
+// Trials starts the Trial of one point: the multi-fidelity form of an
+// Objective.
+type Trials func(point []int) Trial
+
+// Objective returns ts as a plain Objective that runs every evaluation to
+// its end.
+func (ts Trials) Objective() Objective {
+	return func(point []int) (float64, error) { return ts(point).Finish() }
+}
+
+// trials returns obj as Trials whose evaluations end before any rung, so
+// nothing is ever pruned.
+func (obj Objective) trials() Trials {
+	return func(point []int) Trial { return objectiveTrial{obj, point} }
+}
+
+// objectiveTrial is one evaluation of a plain Objective.
+type objectiveTrial struct {
+	obj   Objective
+	point []int
+}
+
+func (t objectiveTrial) Rung() (float64, bool, error) {
+	v, err := t.obj(t.point)
+	return v, true, err
+}
+func (t objectiveTrial) Finish() (float64, error) { return t.obj(t.point) }
+func (objectiveTrial) Prune()                     {}
+
+// Evaluation is one explored point with its objective value. A pruned
+// evaluation was stopped at its rung: Value is its rung value, which
+// conditions the surrogate but never becomes the best point or the
+// acquisition's incumbent.
+type Evaluation struct {
+	Point  []int
+	Value  float64
+	Err    error
+	Pruned bool
+}
+
+// Result summarizes a finished search. Best and BestValue come from
+// evaluations that ran to their end, never from pruned ones.
 type Result struct {
 	Best      []int
 	BestValue float64
@@ -201,10 +253,21 @@ func Minimize(space Space, obj Objective, opt Options) (*Result, error) {
 // is in History — together with an error wrapping ctx.Err(), so callers can
 // checkpoint progress before bailing out.
 func MinimizeContext(ctx context.Context, space Space, obj Objective, opt Options) (*Result, error) {
+	if obj == nil {
+		return nil, errors.New("bo: nil objective")
+	}
+	return MinimizeTrials(ctx, space, obj.trials(), opt)
+}
+
+// MinimizeTrials is MinimizeContext over Trials: every batch the search
+// evaluates together — the random design and each constant-liar round —
+// runs one rung of successive halving (see evaluateAll). Trials that end
+// before their rung make it identical to MinimizeContext.
+func MinimizeTrials(ctx context.Context, space Space, trials Trials, opt Options) (*Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	if obj == nil {
+	if trials == nil {
 		return nil, errors.New("bo: nil objective")
 	}
 	if opt.MaxIters <= 0 {
@@ -252,7 +315,7 @@ func MinimizeContext(ctx context.Context, space Space, obj Objective, opt Option
 		initPts = append(initPts, p)
 	}
 	rsp := opt.Trace.Start("bo.round").SetTrace(opt.TraceID).SetAttr("phase", "init")
-	evals := evaluateAll(ctx, initPts, obj, opt.Parallel, opt.Trace, opt.TraceID)
+	evals := evaluateAll(ctx, initPts, trials, opt.Parallel, opt.Trace, opt.TraceID)
 	endRound(rsp, evals)
 	for _, e := range evals {
 		record(res, e)
@@ -263,9 +326,9 @@ func MinimizeContext(ctx context.Context, space Space, obj Objective, opt Option
 	// constant-liar round evaluated concurrently when Parallel > 1.
 	if ctx.Err() == nil {
 		if opt.Parallel > 1 {
-			minimizeBatched(ctx, space, obj, opt, rng, res, seen)
+			minimizeBatched(ctx, space, trials, opt, rng, res, seen)
 		} else {
-			minimizeSerial(ctx, space, obj, opt, rng, res, seen)
+			minimizeSerial(ctx, space, trials, opt, rng, res, seen)
 		}
 	}
 
@@ -281,7 +344,7 @@ func MinimizeContext(ctx context.Context, space Space, obj Objective, opt Option
 // minimizeSerial is the original one-proposal-per-iteration GP loop. For a
 // fixed seed it reproduces the paper runs exactly (the determinism contract
 // of Parallel <= 1).
-func minimizeSerial(ctx context.Context, space Space, obj Objective, opt Options, rng *rand.Rand, res *Result, seen map[string]bool) {
+func minimizeSerial(ctx context.Context, space Space, trials Trials, opt Options, rng *rand.Rand, res *Result, seen map[string]bool) {
 	sizeCap := spaceSizeCap(space)
 	for round := 0; len(res.History) < opt.MaxIters; round++ {
 		if ctx.Err() != nil {
@@ -303,7 +366,7 @@ func minimizeSerial(ctx context.Context, space Space, obj Objective, opt Options
 			k = key(next)
 		}
 		seen[k] = true
-		e := evalPoint(next, obj, opt.Trace, opt.TraceID)
+		e := evalPoint(next, trials, opt.Trace, opt.TraceID)
 		endRound(rsp, []Evaluation{e})
 		record(res, e)
 	}
@@ -313,7 +376,7 @@ func minimizeSerial(ctx context.Context, space Space, obj Objective, opt Options
 // round fits the surrogate once, proposes a batch of q points (inserting the
 // "lie" ymin after each pick via an O(n²) incremental GP update), then
 // evaluates the whole batch concurrently on opt.Parallel workers.
-func minimizeBatched(ctx context.Context, space Space, obj Objective, opt Options, rng *rand.Rand, res *Result, seen map[string]bool) {
+func minimizeBatched(ctx context.Context, space Space, trials Trials, opt Options, rng *rand.Rand, res *Result, seen map[string]bool) {
 	q := opt.Batch
 	if q <= 0 {
 		q = opt.Parallel
@@ -333,7 +396,7 @@ func minimizeBatched(ctx context.Context, space Space, obj Objective, opt Option
 		for _, p := range pts {
 			seen[key(p)] = true
 		}
-		evals := evaluateAll(ctx, pts, obj, opt.Parallel, opt.Trace, opt.TraceID)
+		evals := evaluateAll(ctx, pts, trials, opt.Parallel, opt.Trace, opt.TraceID)
 		endRound(rsp, evals)
 		for _, e := range evals {
 			record(res, e)
@@ -341,24 +404,28 @@ func minimizeBatched(ctx context.Context, space Space, obj Objective, opt Option
 	}
 }
 
-// evalPoint runs one objective evaluation under a bo.eval span.
-func evalPoint(p []int, obj Objective, tr *obs.Trace, traceID uint64) Evaluation {
+// evalPoint runs one evaluation to its end under a bo.eval span.
+func evalPoint(p []int, trials Trials, tr *obs.Trace, traceID uint64) Evaluation {
 	sp := tr.Start("bo.eval").SetTrace(traceID).SetAttr("point", fmt.Sprint(p))
-	v, err := obj(p)
+	v, err := trials(p).Finish()
 	sp.EndErr(err)
 	return Evaluation{Point: p, Value: v, Err: err}
 }
 
 // endRound finishes a bo.round span with per-class outcome counts.
-// Cancelled and timed-out evaluations are counted apart from failures —
-// the classes a checkpoint-resumed run must reproduce.
+// Cancelled, timed-out and pruned evaluations are counted apart from
+// failures — the classes a checkpoint-resumed run must reproduce.
 func endRound(sp *obs.Span, evals []Evaluation) {
 	if sp == nil {
 		return
 	}
 	counts := map[string]int{}
 	for _, e := range evals {
-		counts[obs.ErrOutcome(e.Err)]++
+		if e.Pruned {
+			counts[obs.OutcomePruned]++
+		} else {
+			counts[obs.ErrOutcome(e.Err)]++
+		}
 	}
 	for class, n := range counts {
 		sp.SetAttr(class, n)
@@ -379,7 +446,9 @@ type surrogate struct {
 // history, or returns nil if the surrogate cannot be built yet. Priors
 // condition the model and the EI baseline exactly like real evaluations —
 // that is the whole transfer mechanism: the surrogate starts the search
-// already knowing where related tasks found their optima.
+// already knowing where related tasks found their optima. A pruned
+// evaluation conditions the model with its rung value but is never the
+// incumbent: its value was measured at a lower fidelity.
 func fitSurrogate(space Space, history []Evaluation, opt Options) *surrogate {
 	var xs [][]float64
 	var ys []float64
@@ -410,7 +479,7 @@ func fitSurrogate(space Space, history []Evaluation, opt Options) *surrogate {
 	best := math.Inf(1)
 	var incumbent []int
 	for _, e := range history {
-		if e.Err != nil || math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
+		if e.Err != nil || e.Pruned || math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
 			continue
 		}
 		if e.Value < best {
@@ -571,7 +640,7 @@ func perturb(space Space, point []int, rng *rand.Rand) []int {
 
 func record(res *Result, e Evaluation) {
 	res.History = append(res.History, e)
-	if e.Err == nil && !math.IsNaN(e.Value) && e.Value < res.BestValue {
+	if e.Err == nil && !e.Pruned && !math.IsNaN(e.Value) && e.Value < res.BestValue {
 		res.BestValue = e.Value
 		res.Best = append([]int(nil), e.Point...)
 	}
@@ -594,37 +663,99 @@ func spaceSizeCap(s Space) int {
 	return size
 }
 
-// evaluateAll runs the objective on every point, optionally with a worker
-// pool. Points whose evaluation has not started when ctx is cancelled are
-// skipped and omitted from the returned slice (in-flight evaluations run to
-// completion), so cancellation never records phantom zero-value results.
-func evaluateAll(ctx context.Context, points [][]int, obj Objective, workers int, tr *obs.Trace, traceID uint64) []Evaluation {
-	out := make([]Evaluation, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			if ctx.Err() != nil {
-				return compactEvals(out[:i])
-			}
-			out[i] = evalPoint(p, obj, tr, traceID)
+// evaluateAll evaluates one batch of points, on up to workers goroutines,
+// as one rung of successive halving. Every evaluation first runs to its
+// rung. Of the r still running there, the best ⌈r/2⌉ — ranked by (rung
+// value, position in points), never by completion order — run on to their
+// end; the rest are pruned in point order and keep their rung value.
+// Trials that end before their rung (a plain Objective) make this a plain
+// parallel map, and a batch of one skips the rung.
+//
+// Points whose evaluation has not started when ctx is cancelled are
+// skipped and omitted from the returned slice (in-flight evaluations run
+// to completion), so cancellation never records phantom zero-value
+// results. A batch cancelled before its ranking prunes nothing: every
+// paused evaluation is finished, and reports the cancellation.
+func evaluateAll(ctx context.Context, points [][]int, trials Trials, workers int, tr *obs.Trace, traceID uint64) []Evaluation {
+	if len(points) == 1 {
+		if ctx.Err() != nil {
+			return nil
 		}
-		return compactEvals(out)
+		return []Evaluation{evalPoint(points[0], trials, tr, traceID)}
+	}
+	out := make([]Evaluation, len(points))
+	paused := make([]Trial, len(points))
+	spans := make([]*obs.Span, len(points))
+	forEach(ctx, len(points), workers, func(i int) {
+		sp := tr.Start("bo.eval").SetTrace(traceID).SetAttr("point", fmt.Sprint(points[i]))
+		t := trials(points[i])
+		v, done, err := t.Rung()
+		out[i] = Evaluation{Point: points[i], Value: v, Err: err}
+		if done {
+			sp.EndErr(err)
+			return
+		}
+		paused[i], spans[i] = t, sp
+	})
+
+	var live []int
+	for i, t := range paused {
+		if t != nil {
+			live = append(live, i)
+		}
+	}
+	keep := len(live)
+	if ctx.Err() == nil {
+		keep = (len(live) + 1) / 2
+		sort.SliceStable(live, func(a, b int) bool { return rungLess(out[live[a]].Value, out[live[b]].Value) })
+	}
+	losers := live[keep:]
+	sort.Ints(losers)
+	for _, i := range losers {
+		paused[i].Prune()
+		out[i].Pruned = true
+		spans[i].EndOutcome(obs.OutcomePruned)
+	}
+	survivors := live[:keep]
+	forEach(context.Background(), len(survivors), workers, func(k int) {
+		i := survivors[k]
+		out[i].Value, out[i].Err = paused[i].Finish()
+		spans[i].EndErr(out[i].Err)
+	})
+	return compactEvals(out)
+}
+
+// rungLess orders rung values ascending with NaN last.
+func rungLess(a, b float64) bool {
+	if math.IsNaN(b) {
+		return !math.IsNaN(a)
+	}
+	return a < b
+}
+
+// forEach calls fn(i) for every i in [0, n) on up to workers goroutines.
+// Indices not yet started when ctx is cancelled are skipped.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) {
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i, p := range points {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, p []int) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // leave slot empty; compacted away below
+			if ctx.Err() == nil {
+				fn(i)
 			}
-			out[i] = evalPoint(p, obj, tr, traceID)
-		}(i, p)
+		}(i)
 	}
 	wg.Wait()
-	return compactEvals(out)
 }
 
 // compactEvals drops slots whose evaluation never ran (nil Point).

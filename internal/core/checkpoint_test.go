@@ -275,12 +275,14 @@ func TestBuildParallelCheckpointResume(t *testing.T) {
 // proposal order under Parallel > 1: a build whose concurrent candidates
 // are forced to finish in reverse proposal order reports the same
 // RoundsToBest as the BO history implies, and its proposal-ordered view of
-// the database equals that history.
+// the database equals that history. Pruning is off so every candidate
+// finishes (TestPrunedBuildIgnoresCompletionOrder covers it on).
 func TestRoundsToBestCountsProposals(t *testing.T) {
 	cfg := resumeConfig(21)
 	cfg.Parallel = 4
 	cfg.MaxIters = 8
 	cfg.InitPoints = 4
+	cfg.PruneEpochs = 0
 	series := seasonal(300, 10, 5)
 	build := func(hook func(*Framework)) (*Result, []Hyperparams) {
 		t.Helper()
@@ -293,8 +295,8 @@ func TestRoundsToBestCountsProposals(t *testing.T) {
 		}
 		var proposed []Hyperparams
 		res, err := f.buildWithSearch(context.Background(), series[:200], series[200:250],
-			func(obj bo.Objective) (*bo.Result, error) {
-				r, err := bo.MinimizeContext(context.Background(), cfg.Space, obj, f.boOptions())
+			func(trials bo.Trials) (*bo.Result, error) {
+				r, err := bo.MinimizeTrials(context.Background(), cfg.Space, trials, f.boOptions())
 				if r != nil {
 					for _, e := range r.History {
 						proposed = append(proposed, pointToHP(e.Point))

@@ -25,6 +25,7 @@ var (
 	candDiverged     = obs.Default.Counter("core.build.diverged")
 	candTimeouts     = obs.Default.Counter("core.build.timeouts")
 	candReplayed     = obs.Default.Counter("core.build.replayed")
+	candPruned       = obs.Default.Counter("core.build.pruned")
 	candCancelled    = obs.Default.Counter("core.build.cancelled")
 	candidateSeconds = obs.Default.Histogram("core.candidate_seconds")
 )
@@ -59,6 +60,16 @@ type Config struct {
 	// Batch overrides the number of points per BO proposal round when
 	// Parallel > 1 (0 means one point per worker; see bo.Options.Batch).
 	Batch int
+	// PruneEpochs is the rung of one-rung successive halving inside each
+	// batch the BO search evaluates together (the random design and every
+	// constant-liar round): all of the batch's candidates train for
+	// PruneEpochs epochs and are scored on the cross-validation split; the
+	// best ⌈r/2⌉ of the r still training continue the same run to its end
+	// and the rest are recorded as pruned, with their rung CV error. A
+	// pruned candidate informs the GP but is never the build's best. 0
+	// disables pruning and trains every candidate to the end, as the paper
+	// does.
+	PruneEpochs int
 	// Acquisition selects the BO acquisition function (default: Expected
 	// Improvement, the paper's choice).
 	Acquisition bo.Acquisition
@@ -126,21 +137,37 @@ func QuickConfig() Config {
 	tc.Epochs = 25
 	tc.Patience = 5
 	return Config{
-		Space:      ScaledSpace(24, 16, 2, 64),
-		MaxIters:   8,
-		InitPoints: 4,
-		Train:      tc,
-		Scaler:     "minmax",
-		Parallel:   4,
+		Space:       ScaledSpace(24, 16, 2, 64),
+		MaxIters:    8,
+		InitPoints:  4,
+		Train:       tc,
+		Scaler:      "minmax",
+		Parallel:    4,
+		PruneEpochs: 3,
 	}
 }
+
+// ErrPruned is the error of a candidate that successive halving stopped at
+// its rung (Config.PruneEpochs): it did not fail, but it did not finish
+// training either, so it can never be the build's best.
+var ErrPruned = errors.New("pruned at the rung by successive halving")
 
 // Candidate is one model-database entry: an examined hyperparameter set and
 // its cross-validation error (step 3 of Fig. 6 stores these pairs).
 type Candidate struct {
-	HP       Hyperparams
+	HP Hyperparams
+	// ValError is the cross-validation error; for a pruned candidate, the
+	// error at its rung.
 	ValError float64
-	Err      error // non-nil when the candidate failed to train
+	// Err is non-nil when the candidate did not finish training: it failed
+	// (and is quarantined) or it was pruned (ErrPruned).
+	Err error
+
+	// ranked marks a candidate that was still training at its rung and was
+	// ranked against its batch there, with CV error rungErr. Replay hands
+	// the rung error back to the search so a resumed batch ranks the same.
+	ranked  bool
+	rungErr float64
 }
 
 // Diverged reports whether the candidate was quarantined because its
@@ -148,12 +175,18 @@ type Candidate struct {
 // infrastructure failure or timeout).
 func (c Candidate) Diverged() bool { return errors.Is(c.Err, nn.ErrDiverged) }
 
+// Pruned reports whether successive halving stopped the candidate at its
+// rung.
+func (c Candidate) Pruned() bool { return errors.Is(c.Err, ErrPruned) }
+
 // Result is a finished LoadDynamics build.
 type Result struct {
 	// Best is the selected workload predictor f.
 	Best *Model
 	// Database holds every examined candidate, in evaluation order: with
-	// Parallel > 1 that is the order concurrent candidates finished in.
+	// Parallel > 1 that is the order concurrent candidates finished in. A
+	// pruned candidate is recorded when it is pruned, before the survivors
+	// of its batch finish.
 	Database []Candidate
 	// proposed is Database in the search's proposal order (nil when the
 	// search returned no history).
@@ -164,7 +197,8 @@ type Result struct {
 // reached the database's minimum validation error — the "how many search
 // rounds did the win cost" number the fleet's warm-start metrics track. It
 // counts in proposal order, so it does not depend on which of a batch's
-// concurrent candidates finished first. Returns 0 when no candidate
+// concurrent candidates finished first, and skips pruned candidates, whose
+// rung errors were never the build's to win. Returns 0 when no candidate
 // trained successfully.
 func (r *Result) RoundsToBest() int {
 	db := r.proposed
@@ -259,82 +293,203 @@ func (f *Framework) recordLocked(st *buildState, c Candidate) {
 	}
 }
 
-// buildObjective returns the bo.Objective for one run: replay checkpointed
-// candidates without retraining, train new ones (honoring ctx and the
-// per-candidate timeout), and quarantine failures in the database instead
+// buildObjective returns the search's Trials for one run. Every candidate
+// goes through one trial: replay a checkpointed outcome without retraining,
+// or train (honoring ctx and the per-candidate timeout, pausing at the rung
+// when PruneEpochs > 0), and quarantine failures in the database instead
 // of aborting the search.
-func (f *Framework) buildObjective(ctx context.Context, st *buildState, train, validate []float64) bo.Objective {
-	return func(point []int) (float64, error) {
+func (f *Framework) buildObjective(ctx context.Context, st *buildState, train, validate []float64) bo.Trials {
+	return func(point []int) bo.Trial {
 		hp := pointToHP(point)
-		sp := f.cfg.Trace.Start("core.candidate").SetTrace(f.cfg.TraceID)
-		sp.SetAttr("hp", hp.String())
-
+		t := &trial{f: f, st: st, ctx: ctx, train: train, validate: validate, hp: hp,
+			sp: f.cfg.Trace.Start("core.candidate").SetTrace(f.cfg.TraceID)}
+		t.sp.SetAttr("hp", hp.String())
 		// Resume replay: proposals are deterministic given the seed, so a
 		// resumed search re-proposes the checkpointed candidates in order;
-		// their recorded values stand in for retraining and warm-start the
-		// GP surrogate. The winner's weights are rebuilt by materializeBest.
+		// their recorded outcomes stand in for retraining and warm-start
+		// the GP surrogate. The winner's weights are rebuilt by
+		// materializeBest.
 		st.mu.Lock()
 		if q := st.prior[hp]; len(q) > 0 {
 			c := q[0]
+			t.replay = &c
 			st.prior[hp] = q[1:]
-			f.recordLocked(st, c)
-			st.mu.Unlock()
-			candReplayed.Inc()
-			f.finishCandidate(sp.SetAttr("replayed", true), c)
-			if c.Err != nil {
-				return 0, c.Err
-			}
-			return c.ValError, nil
 		}
 		st.mu.Unlock()
+		return t
+	}
+}
 
-		start := time.Now()
-		model, err := trainModel(ctx, train, validate, hp, f.cfg.Train, f.cfg.Scaler,
-			f.cfg.MaxTrainWindows, candidateSeed(f.cfg.Seed, hp), f.cfg.CandidateTimeout)
-		candidateSeconds.Observe(time.Since(start).Seconds())
-		if f.beforeRecord != nil {
-			f.beforeRecord(hp)
+// trial is one candidate's evaluation: a bo.Trial that replays, trains,
+// pauses at the rung, is pruned, and records its outcome.
+type trial struct {
+	f               *Framework
+	st              *buildState
+	ctx             context.Context
+	train, validate []float64
+	hp              Hyperparams
+	sp              *obs.Span
+
+	replay *Candidate // checkpointed outcome standing in for training
+	job    *trainJob  // training paused at the rung
+	paused bool       // Rung returned a rung error and the search decides next
+	rung   float64    // CV error at the rung
+}
+
+// Rung trains the candidate for PruneEpochs epochs and returns its CV
+// error there. A candidate whose run ends first (early stopping, Epochs,
+// a failure) is recorded and reported done; with PruneEpochs 0 every
+// candidate runs to its end here.
+func (t *trial) Rung() (float64, bool, error) {
+	if c := t.replay; c != nil {
+		if c.ranked {
+			t.paused, t.rung = true, c.rungErr
+			return t.rung, false, nil
 		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if err != nil {
-			// A build-level cancellation is not a property of the candidate:
-			// keep it out of the database and the checkpoint so a resumed
-			// run re-evaluates the point properly. Its span is classified
-			// cancelled — never failed — so the non-cancelled spans of an
-			// interrupted trace line up with the uninterrupted run's.
-			if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				candCancelled.Inc()
-				sp.SetAttr("error", err.Error())
-				sp.EndOutcome(obs.OutcomeCancelled)
-				return 0, err
-			}
-			c := Candidate{HP: hp, Err: err}
-			f.recordLocked(st, c)
-			f.finishCandidate(sp, c)
-			return 0, err
+		v, err := t.replayed()
+		return v, true, err
+	}
+	if t.f.cfg.PruneEpochs <= 0 {
+		v, err := t.Finish()
+		return v, true, err
+	}
+	job, err := t.newJob()
+	if err == nil {
+		err = job.advance(t.ctx, t.f.cfg.PruneEpochs)
+	}
+	if err == nil && !job.run.Done() {
+		if t.rung, err = job.valError(); err == nil {
+			t.job, t.paused = job, true
+			return t.rung, false, nil
 		}
-		c := Candidate{HP: hp, ValError: model.ValError}
-		f.recordLocked(st, c)
+	}
+	v, err := t.complete(job, err)
+	return v, true, err
+}
+
+// Finish runs the candidate to its end from wherever it is. A candidate
+// paused at the rung of a cancelled build is cancelled, like an in-flight
+// one.
+func (t *trial) Finish() (float64, error) {
+	if t.paused && t.ctx.Err() != nil {
+		t.job = nil
+		return t.complete(nil, fmt.Errorf("core: training: %w", t.ctx.Err()))
+	}
+	if c := t.replay; c != nil && !c.Pruned() {
+		return t.replayed()
+	}
+	// A pruned replay the search now keeps (its batch ranked differently)
+	// trains afresh.
+	job := t.job
+	var err error
+	if job == nil {
+		job, err = t.newJob()
+	}
+	if err == nil {
+		err = job.advance(t.ctx, t.f.cfg.Train.Epochs)
+	}
+	t.job = nil
+	return t.complete(job, err)
+}
+
+// Prune stops the candidate at its rung and records it with its rung CV
+// error.
+func (t *trial) Prune() {
+	if c := t.replay; c != nil && c.Pruned() {
+		t.replayed()
+		return
+	}
+	if t.job != nil {
+		t.job.run.Stop()
+		candidateSeconds.Observe(t.job.spent.Seconds())
+		t.job = nil
+	}
+	if t.replay == nil && t.f.beforeRecord != nil {
+		t.f.beforeRecord(t.hp)
+	}
+	t.sp.SetAttr("epochs", t.f.cfg.PruneEpochs)
+	t.record(Candidate{HP: t.hp, ValError: t.rung, Err: ErrPruned, ranked: true, rungErr: t.rung}, nil, false)
+}
+
+// newJob starts the candidate's training run.
+func (t *trial) newJob() (*trainJob, error) {
+	cfg := t.f.cfg
+	return newTrainJob(t.train, t.validate, t.hp, cfg.Train, cfg.Scaler,
+		cfg.MaxTrainWindows, candidateSeed(cfg.Seed, t.hp), cfg.CandidateTimeout)
+}
+
+// replayed records the checkpointed outcome in place of training.
+func (t *trial) replayed() (float64, error) {
+	candReplayed.Inc()
+	t.sp.SetAttr("replayed", true)
+	if t.replay.Pruned() {
+		t.sp.SetAttr("epochs", t.f.cfg.PruneEpochs)
+	}
+	return t.record(*t.replay, nil, true)
+}
+
+// complete records a trained candidate that ended — finished, failed or
+// cancelled with the build.
+func (t *trial) complete(job *trainJob, err error) (float64, error) {
+	var model *Model
+	if job != nil {
+		candidateSeconds.Observe(job.spent.Seconds())
+	}
+	if err == nil {
+		model, err = job.finish()
+	}
+	if t.f.beforeRecord != nil {
+		t.f.beforeRecord(t.hp)
+	}
+	c := Candidate{HP: t.hp, Err: err, ranked: t.paused, rungErr: t.rung}
+	if model != nil {
+		c.ValError = model.ValError
+	}
+	return t.record(c, model, false)
+}
+
+// record appends the candidate's outcome to the database and ends its span.
+// A build-level cancellation of a trained candidate is not a property of
+// the candidate: it stays out of the database and the checkpoint so a
+// resumed run re-evaluates the point properly, and its span is classified
+// cancelled — never failed — so the non-cancelled spans of an interrupted
+// trace line up with the uninterrupted run's.
+func (t *trial) record(c Candidate, model *Model, replayed bool) (float64, error) {
+	f, st := t.f, t.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !replayed && c.Err != nil && t.ctx.Err() != nil && (errors.Is(c.Err, context.Canceled) || errors.Is(c.Err, context.DeadlineExceeded)) {
+		candCancelled.Inc()
+		t.sp.SetAttr("error", c.Err.Error())
+		t.sp.EndOutcome(obs.OutcomeCancelled)
+		return 0, c.Err
+	}
+	f.recordLocked(st, c)
+	f.finishCandidate(t.sp, c)
+	if model != nil {
 		candTrained.Inc()
-		f.finishCandidate(sp, c)
 		if model.ValError < st.best {
 			st.best = model.ValError
 			st.res.Best = model
 		}
-		return model.ValError, nil
 	}
+	if c.Err != nil && !c.Pruned() {
+		return 0, c.Err
+	}
+	return c.ValError, nil
 }
 
 // candidateOutcome classifies a database candidate's error into a span
-// outcome. Divergence is checked before the context classes — a diverged
-// candidate is quarantined for its own behaviour, not for running out of
-// time — and a timeout (per-candidate deadline) is distinct from both a
-// failure and a build-level cancellation.
+// outcome. Pruning is not a failure; divergence is checked before the
+// context classes — a diverged candidate is quarantined for its own
+// behaviour, not for running out of time — and a timeout (per-candidate
+// deadline) is distinct from both a failure and a build-level cancellation.
 func candidateOutcome(err error) string {
 	switch {
 	case err == nil:
 		return obs.OutcomeOK
+	case errors.Is(err, ErrPruned):
+		return obs.OutcomePruned
 	case errors.Is(err, nn.ErrDiverged):
 		return obs.OutcomeDiverged
 	case errors.Is(err, context.DeadlineExceeded):
@@ -349,11 +504,13 @@ func candidateOutcome(err error) string {
 // finishCandidate ends a candidate span with the database entry's outcome,
 // bumps the matching build counters, and logs the candidate: quarantined
 // candidates at Warn (an operator signal — the search absorbed a bad
-// point), everything else at Debug.
+// point), everything else, pruned candidates included, at Debug.
 func (f *Framework) finishCandidate(sp *obs.Span, c Candidate) {
 	candEvaluations.Inc()
 	outcome := candidateOutcome(c.Err)
 	switch outcome {
+	case obs.OutcomePruned:
+		candPruned.Inc()
 	case obs.OutcomeDiverged:
 		candQuarantined.Inc()
 		candDiverged.Inc()
@@ -363,11 +520,15 @@ func (f *Framework) finishCandidate(sp *obs.Span, c Candidate) {
 	case obs.OutcomeFailed:
 		candQuarantined.Inc()
 	}
-	if c.Err != nil {
+	switch {
+	case outcome == obs.OutcomePruned:
+		sp.SetAttr("val_error", c.ValError)
+		f.log.Debug("candidate pruned", "hp", c.HP.String(), "val_error", c.ValError)
+	case c.Err != nil:
 		sp.SetAttr("error", c.Err.Error())
 		f.log.Warn("candidate quarantined",
 			"hp", c.HP.String(), "outcome", outcome, "error", c.Err.Error())
-	} else {
+	default:
 		sp.SetAttr("val_error", c.ValError)
 		f.log.Debug("candidate trained", "hp", c.HP.String(), "val_error", c.ValError)
 	}
@@ -444,8 +605,8 @@ func (f *Framework) Build(train, validate []float64) (*Result, error) {
 // CheckpointPath is configured, every completed candidate has already been
 // persisted and a later run with Resume picks up where this one stopped.
 func (f *Framework) BuildContext(ctx context.Context, train, validate []float64) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
-		return bo.MinimizeContext(ctx, f.cfg.Space, obj, f.boOptions())
+	return f.buildWithSearch(ctx, train, validate, func(trials bo.Trials) (*bo.Result, error) {
+		return bo.MinimizeTrials(ctx, f.cfg.Space, trials, f.boOptions())
 	})
 }
 
@@ -473,8 +634,8 @@ func (f *Framework) BuildRandom(train, validate []float64) (*Result, error) {
 // BuildRandomContext is BuildRandom with cancellation, checkpointing and
 // resume (same contract as BuildContext).
 func (f *Framework) BuildRandomContext(ctx context.Context, train, validate []float64) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
-		return bo.RandomSearchContext(ctx, f.cfg.Space, obj, f.cfg.MaxIters, f.cfg.Seed)
+	return f.buildWithSearch(ctx, train, validate, func(trials bo.Trials) (*bo.Result, error) {
+		return bo.RandomSearchContext(ctx, f.cfg.Space, trials.Objective(), f.cfg.MaxIters, f.cfg.Seed)
 	})
 }
 
@@ -487,12 +648,12 @@ func (f *Framework) BuildGrid(train, validate []float64, perDim int) (*Result, e
 // BuildGridContext is BuildGrid with cancellation, checkpointing and resume
 // (same contract as BuildContext).
 func (f *Framework) BuildGridContext(ctx context.Context, train, validate []float64, perDim int) (*Result, error) {
-	return f.buildWithSearch(ctx, train, validate, func(obj bo.Objective) (*bo.Result, error) {
-		return bo.GridSearchContext(ctx, f.cfg.Space, obj, perDim)
+	return f.buildWithSearch(ctx, train, validate, func(trials bo.Trials) (*bo.Result, error) {
+		return bo.GridSearchContext(ctx, f.cfg.Space, trials.Objective(), perDim)
 	})
 }
 
-func (f *Framework) buildWithSearch(ctx context.Context, train, validate []float64, search func(bo.Objective) (*bo.Result, error)) (*Result, error) {
+func (f *Framework) buildWithSearch(ctx context.Context, train, validate []float64, search func(bo.Trials) (*bo.Result, error)) (*Result, error) {
 	if len(train) < 4 || len(validate) == 0 {
 		return nil, fmt.Errorf("core: need non-trivial train (%d) and validate (%d) sets", len(train), len(validate))
 	}

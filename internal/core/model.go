@@ -281,15 +281,31 @@ func (m *Model) NumParams() int {
 
 // trainModel trains one LSTM with the given hyperparameters on the raw
 // training JARs and reports its MAPE on the raw validation JARs — one
-// execution of steps 1–2 of the Fig. 6 workflow. maxWindows > 0 caps the
-// supervised samples to the most recent windows. Training honors ctx and,
-// when timeout > 0, a per-candidate deadline layered on top of it.
+// execution of steps 1–2 of the Fig. 6 workflow, run to its end.
 func trainModel(ctx context.Context, train, validate []float64, hp Hyperparams, tc nn.TrainConfig, scalerName string, maxWindows int, seed int64, timeout time.Duration) (*Model, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	job, err := newTrainJob(train, validate, hp, tc, scalerName, maxWindows, seed, timeout)
+	if err != nil {
+		return nil, err
 	}
+	if err := job.advance(ctx, tc.Epochs); err != nil {
+		return nil, err
+	}
+	return job.finish()
+}
+
+// trainJob is one candidate's training in progress: steps 1–2 of the Fig. 6
+// workflow split so the search can pause the candidate at its rung and
+// resume the same run. maxWindows > 0 caps the supervised samples to the
+// most recent windows. Training honors the caller's ctx and, when timeout
+// > 0, a per-candidate budget charged only while the candidate trains.
+type trainJob struct {
+	model           *Model
+	run             *nn.Run
+	train, validate []float64
+	timeout, spent  time.Duration
+}
+
+func newTrainJob(train, validate []float64, hp Hyperparams, tc nn.TrainConfig, scalerName string, maxWindows int, seed int64, timeout time.Duration) (*trainJob, error) {
 	if err := hp.Validate(); err != nil {
 		return nil, err
 	}
@@ -331,15 +347,48 @@ func trainModel(ctx context.Context, train, validate []float64, hp Hyperparams, 
 	}
 	tc.BatchSize = hp.BatchSize
 	tc.Seed = seed
-	if _, err := net.TrainContext(ctx, inputs, targets, tc); err != nil {
+	run, err := net.NewRun(inputs, targets, tc)
+	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
+	return &trainJob{
+		model: &Model{HP: hp, net: net, scaler: scaler},
+		run:   run, train: train, validate: validate, timeout: timeout,
+	}, nil
+}
 
-	model := &Model{HP: hp, net: net, scaler: scaler}
-	valErr, err := model.Evaluate(train, validate)
-	if err != nil {
-		return nil, fmt.Errorf("core: validation: %w", err)
+// advance trains until the run has completed epoch epochs or has ended,
+// adding the time it took to spent.
+func (j *trainJob) advance(ctx context.Context, epoch int) error {
+	start := time.Now()
+	defer func() { j.spent += time.Since(start) }()
+	if j.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, j.timeout-j.spent)
+		defer cancel()
 	}
-	model.ValError = valErr
-	return model, nil
+	if _, err := j.run.AdvanceTo(ctx, epoch); err != nil {
+		return fmt.Errorf("core: training: %w", err)
+	}
+	return nil
+}
+
+// valError is the MAPE of the current weights on the validation JARs.
+func (j *trainJob) valError() (float64, error) {
+	v, err := j.model.Evaluate(j.train, j.validate)
+	if err != nil {
+		return 0, fmt.Errorf("core: validation: %w", err)
+	}
+	return v, nil
+}
+
+// finish ends the run and returns the model with its validation error.
+func (j *trainJob) finish() (*Model, error) {
+	j.run.Stop()
+	v, err := j.valError()
+	if err != nil {
+		return nil, err
+	}
+	j.model.ValError = v
+	return j.model, nil
 }

@@ -14,13 +14,15 @@ import (
 var errSentinel = errors.New("candidate failed")
 
 // warmStartConfig is the reduced build both arms of the A/B run: identical
-// in everything except Config.PriorObservations.
+// in everything except Config.PriorObservations. Pruning is off, so the A/B
+// measures transfer alone on the unpruned search.
 func warmStartConfig(seed int64) Config {
 	cfg := QuickConfig()
 	cfg.MaxIters = 8
 	cfg.InitPoints = 4
 	cfg.Seed = seed
 	cfg.Train = quickTrain()
+	cfg.PruneEpochs = 0
 	return cfg
 }
 

@@ -6,13 +6,112 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"testing"
 	"time"
 
 	"loaddynamics/internal/obs"
+	"loaddynamics/internal/wal"
 )
+
+// zeroAllocs fails unless fn, after one warm-up call, allocates nothing
+// per run. Tolerance below 1 (not an exact 0 compare) because a stray GC
+// during the measured runs can empty a sync.Pool elsewhere in the process.
+func zeroAllocs(t *testing.T, what string, fn func()) {
+	t.Helper()
+	fn()
+	if allocs := testing.AllocsPerRun(200, fn); allocs >= 1 {
+		t.Fatalf("%s allocates %.1f allocs/op, want 0", what, allocs)
+	}
+}
+
+// TestRegistryLookupZeroAlloc pins the BenchmarkRegistryLookup path.
+func TestRegistryLookupZeroAlloc(t *testing.T) {
+	f := benchFleet(t)
+	zeroAllocs(t, "registry lookup", func() {
+		if _, err := f.Model("b"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPromotionZeroAlloc pins the BenchmarkPromotion path: swapping a
+// resident model in place.
+func TestPromotionZeroAlloc(t *testing.T) {
+	f := benchFleet(t)
+	m := tinyModel(t, 2)
+	zeroAllocs(t, "promotion", func() {
+		if err := f.Promote("a", m); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestForecastUncachedZeroAlloc pins the BenchmarkForecastUncached path: a
+// 3-step rolling forecast into a caller-owned buffer.
+func TestForecastUncachedZeroAlloc(t *testing.T) {
+	m := tinyModel(t, 1)
+	history := []float64{100, 104, 99, 107, 101, 103}
+	out := make([]float64, 3)
+	ctx := context.Background()
+	zeroAllocs(t, "uncached forecast", func() {
+		if err := m.PredictStepsInto(ctx, history, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// walFleet is a one-workload fleet logging observations to an unsynced
+// WAL, with ingest shaped like BenchmarkStreamIngestWAL.
+func walFleet(t *testing.T) *Fleet {
+	t.Helper()
+	opts := testOptions(t, "")
+	opts.Logger = slog.New(slog.DiscardHandler)
+	opts.IngestShards = 1
+	opts.IngestChunk = 128
+	opts.IngestQueue = 256
+	opts.WAL = wal.Options{Dir: t.TempDir(), Sync: wal.SyncOff}
+	f, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if err := f.Add("c", tinyModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestObserveWALZeroAlloc pins BenchmarkObserveWAL/sync=off: a durable
+// observe appends its WAL record without allocating.
+func TestObserveWALZeroAlloc(t *testing.T) {
+	f := walFleet(t)
+	horizon := []float64{100, 101, 102, 103}
+	actuals := []float64{99, 103, 100, 105}
+	zeroAllocs(t, "observe with the WAL (sync=off)", func() {
+		f.RecordForecast("c", horizon)
+		if _, err := f.Observe("c", actuals); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestStreamIngestWALZeroAlloc pins BenchmarkStreamIngestWAL/sync=off: one
+// streamed record enqueued, drained and appended to the WAL as a batch.
+func TestStreamIngestWALZeroAlloc(t *testing.T) {
+	f := walFleet(t)
+	sh := f.shards[0]
+	actuals := []float64{99, 103, 100, 105}
+	zeroAllocs(t, "stream ingest with the WAL (sync=off)", func() {
+		if err := f.EnqueueObserve("c", actuals); err != nil {
+			t.Fatal(err)
+		}
+		f.drainChunk(sh, <-sh.queue)
+	})
+}
 
 // TestObservePathZeroAlloc pins RecordForecast+Observe at zero allocations:
 // the pending-horizon buffer is reused via a cursor and the per-workload

@@ -243,10 +243,10 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 
 	start := time.Now()
 	res, err := f.buildFn(bctx, cfg, train, validate)
-	if err != nil && bctx.Err() == nil && cfg.CheckpointPath != "" {
+	if errors.Is(err, core.ErrCheckpointMismatch) && bctx.Err() == nil && cfg.CheckpointPath != "" {
 		// A checkpoint from an earlier attempt over different history has a
 		// mismatched fingerprint and fails the resume; clear it and retry
-		// once within the same budget.
+		// once within the same budget. Any other failure would fail again.
 		os.Remove(cfg.CheckpointPath)
 		res, err = f.buildFn(bctx, cfg, train, validate)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,7 +254,7 @@ func TestRebuildClearsStaleCheckpoint(t *testing.T) {
 			if _, err := os.Stat(cfg.CheckpointPath); err != nil {
 				return nil, fmt.Errorf("stale checkpoint missing on first attempt: %w", err)
 			}
-			return nil, errors.New("checkpoint was written by a different build configuration")
+			return nil, fmt.Errorf("checkpoint was written by a different build configuration: %w", core.ErrCheckpointMismatch)
 		}
 		if _, err := os.Stat(cfg.CheckpointPath); !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("stale checkpoint not cleared before retry (err=%v)", err)
@@ -282,5 +283,44 @@ func TestRebuildClearsStaleCheckpoint(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("checkpoint not consumed after success (err=%v)", err)
+	}
+}
+
+// TestRebuildFailureDoesNotRetry: a build that fails for any reason other
+// than a mismatched checkpoint runs once — retrying would train every
+// candidate a second time to the same failure — and its checkpoint stays
+// on disk for the next attempt to resume.
+func TestRebuildFailureDoesNotRetry(t *testing.T) {
+	dir := t.TempDir()
+	f, err := Open(testOptions(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	f.buildFn = func(ctx context.Context, cfg core.Config, train, validate []float64) (*core.Result, error) {
+		calls.Add(1)
+		return nil, errors.New("core: no candidate trained successfully")
+	}
+	if err := f.Add("w", tinyModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "w.rebuild.ckpt")
+	if err := os.WriteFile(ckpt, []byte(`{"version":2,"fingerprint":"kept"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f.Start(ctx)
+	defer f.Close()
+
+	driftWorkload(t, f, "w")
+	waitFor(t, 10*time.Second, "rebuild failure", func() bool {
+		return f.opts.Metrics.Counter("fleet.rebuilds.failed").Value() == 1
+	})
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("buildFn calls = %d, want 1 (no retry after a non-checkpoint failure)", n)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("checkpoint removed after a non-checkpoint failure: %v", err)
 	}
 }

@@ -67,83 +67,155 @@ func (m *LSTM) Train(inputs [][]float64, targets []float64, tc TrainConfig) (flo
 // between mini-batches, so a cancelled build abandons a candidate within one
 // batch step. It also guards against divergence — a non-finite batch loss or
 // non-finite weights after an epoch abort with an error wrapping ErrDiverged,
-// leaving the caller free to quarantine the candidate.
+// leaving the caller free to quarantine the candidate. It is a Run advanced
+// to its end in one call.
 func (m *LSTM) TrainContext(ctx context.Context, inputs [][]float64, targets []float64, tc TrainConfig) (float64, error) {
+	r, err := m.NewRun(inputs, targets, tc)
+	if err != nil {
+		return 0, err
+	}
+	return r.AdvanceTo(ctx, tc.Epochs)
+}
+
+// Run is one resumable training run. The shuffling RNG and order, the Adam
+// moments, the early-stopping state and the epoch count persist between
+// AdvanceTo calls, so a run advanced in pieces ends on the same weights,
+// bit for bit, as one advanced to its end in a single call. The run-scoped
+// trainer (gradients, moments, BPTT workspaces) is dropped when the run
+// ends or is stopped; the network then holds only its weights.
+type Run struct {
+	net     *LSTM
+	inputs  [][]float64
+	targets []float64
+	tc      TrainConfig
+	rng     *rand.Rand
+	idx     []int
+	tr      *trainer // nil once the run has ended
+
+	best  float64 // lowest epoch loss so far (patience)
+	bad   int     // epochs since best improved
+	epoch int     // completed epochs
+	loss  float64 // last completed epoch's mean loss
+	done  bool
+	err   error // sticky: the error that ended the run
+}
+
+// NewRun validates the training set and configuration and returns a run
+// positioned before its first epoch.
+func (m *LSTM) NewRun(inputs [][]float64, targets []float64, tc TrainConfig) (*Run, error) {
 	if len(inputs) == 0 {
-		return 0, fmt.Errorf("nn: Train on empty dataset")
+		return nil, fmt.Errorf("nn: Train on empty dataset")
 	}
 	if len(inputs) != len(targets) {
-		return 0, fmt.Errorf("nn: %d inputs but %d targets", len(inputs), len(targets))
+		return nil, fmt.Errorf("nn: %d inputs but %d targets", len(inputs), len(targets))
 	}
 	if tc.Epochs <= 0 {
-		return 0, fmt.Errorf("nn: Epochs must be positive, got %d", tc.Epochs)
+		return nil, fmt.Errorf("nn: Epochs must be positive, got %d", tc.Epochs)
 	}
 	if tc.BatchSize <= 0 {
-		return 0, fmt.Errorf("nn: BatchSize must be positive, got %d", tc.BatchSize)
+		return nil, fmt.Errorf("nn: BatchSize must be positive, got %d", tc.BatchSize)
 	}
 	if tc.LearningRate <= 0 {
-		return 0, fmt.Errorf("nn: LearningRate must be positive, got %v", tc.LearningRate)
+		return nil, fmt.Errorf("nn: LearningRate must be positive, got %v", tc.LearningRate)
 	}
 	if !tc.Loss.valid() {
-		return 0, fmt.Errorf("nn: unknown loss %d", tc.Loss)
+		return nil, fmt.Errorf("nn: unknown loss %d", tc.Loss)
 	}
-
-	rng := rand.New(rand.NewSource(tc.Seed))
-	tr := newTrainer(m, tc)
 	idx := make([]int, len(inputs))
 	for i := range idx {
 		idx[i] = i
 	}
+	return &Run{
+		net: m, inputs: inputs, targets: targets, tc: tc,
+		rng:  rand.New(rand.NewSource(tc.Seed)),
+		idx:  idx,
+		tr:   newTrainer(m, tc),
+		best: math.Inf(1),
+	}, nil
+}
 
-	best := math.Inf(1)
-	bad := 0
-	var epochLoss float64
-	for epoch := 0; epoch < tc.Epochs; epoch++ {
-		epochStart := time.Now()
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		epochLoss = 0
-		batches := 0
-		for lo := 0; lo < len(idx); lo += tc.BatchSize {
-			hi := lo + tc.BatchSize
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			if err := ctx.Err(); err != nil {
-				return 0, fmt.Errorf("nn: training interrupted at epoch %d: %w", epoch, err)
-			}
-			batch := idx[lo:hi]
-			loss, err := tr.step(inputs, targets, batch)
-			if err != nil {
-				return 0, err
-			}
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				divergedCount.Inc()
-				return 0, fmt.Errorf("nn: epoch %d: batch loss %v: %w", epoch, loss, ErrDiverged)
-			}
-			epochLoss += loss
-			batches++
-		}
-		epochLoss /= float64(batches)
-		if !finite(m.w.flat) {
-			divergedCount.Inc()
-			return 0, fmt.Errorf("nn: epoch %d: non-finite weights: %w", epoch, ErrDiverged)
-		}
-		epochCount.Inc()
-		epochSecondsHist.Observe(time.Since(epochStart).Seconds())
-		epochLossHist.Observe(epochLoss)
-		if tc.Patience > 0 {
-			if epochLoss < best-tc.MinDelta {
-				best = epochLoss
-				bad = 0
-			} else {
-				bad++
-				if bad >= tc.Patience {
-					break
-				}
-			}
+// Done reports whether the run has ended: early stopping fired, Epochs
+// were completed, it failed, or it was stopped.
+func (r *Run) Done() bool { return r.done }
+
+// Stop ends a live run where it is and releases its trainer. Stopping an
+// ended run changes nothing.
+func (r *Run) Stop() {
+	if !r.done {
+		r.end(nil)
+	}
+}
+
+// end marks the run finished with err and drops everything only training
+// needs.
+func (r *Run) end(err error) {
+	r.done, r.err = true, err
+	r.tr, r.idx, r.inputs, r.targets = nil, nil, nil, nil
+}
+
+// AdvanceTo trains until the run has completed epoch epochs (capped at
+// TrainConfig.Epochs) or has ended, and returns the last completed epoch's
+// mean loss. An error — cancellation, divergence — ends the run, and later
+// calls return it again.
+func (r *Run) AdvanceTo(ctx context.Context, epoch int) (float64, error) {
+	epoch = min(epoch, r.tc.Epochs)
+	for !r.done && r.epoch < epoch {
+		if err := r.runEpoch(ctx); err != nil {
+			r.end(err)
 		}
 	}
-	return epochLoss, nil
+	if r.err != nil {
+		return 0, r.err
+	}
+	return r.loss, nil
+}
+
+// runEpoch trains one epoch and applies the stopping rules.
+func (r *Run) runEpoch(ctx context.Context) error {
+	epochStart := time.Now()
+	idx, bsz := r.idx, r.tc.BatchSize
+	r.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	epochLoss := 0.0
+	batches := 0
+	for lo := 0; lo < len(idx); lo += bsz {
+		hi := min(lo+bsz, len(idx))
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("nn: training interrupted at epoch %d: %w", r.epoch, err)
+		}
+		loss, err := r.tr.step(r.inputs, r.targets, idx[lo:hi])
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(loss) || math.IsInf(loss, 0) {
+			divergedCount.Inc()
+			return fmt.Errorf("nn: epoch %d: batch loss %v: %w", r.epoch, loss, ErrDiverged)
+		}
+		epochLoss += loss
+		batches++
+	}
+	epochLoss /= float64(batches)
+	if !finite(r.net.w.flat) {
+		divergedCount.Inc()
+		return fmt.Errorf("nn: epoch %d: non-finite weights: %w", r.epoch, ErrDiverged)
+	}
+	epochCount.Inc()
+	epochSecondsHist.Observe(time.Since(epochStart).Seconds())
+	epochLossHist.Observe(epochLoss)
+	r.epoch++
+	r.loss = epochLoss
+	if r.tc.Patience > 0 {
+		if epochLoss < r.best-r.tc.MinDelta {
+			r.best = epochLoss
+			r.bad = 0
+		} else if r.bad++; r.bad >= r.tc.Patience {
+			r.end(nil)
+			return nil
+		}
+	}
+	if r.epoch >= r.tc.Epochs {
+		r.end(nil)
+	}
+	return nil
 }
 
 // finite reports whether every value is finite.
@@ -157,9 +229,9 @@ func finite(vs []float64) bool {
 }
 
 // trainer is the state of one training run: the gradients, the Adam
-// moments and the per-batch-size BPTT workspaces. It lives for one
-// TrainContext call, so the network it trains keeps only its weights once
-// the call returns. Moments and gradients start at zero on every run.
+// moments and the per-batch-size BPTT workspaces. It lives as long as its
+// Run, so the network it trains keeps only its weights once the run ends.
+// Moments and gradients start at zero on every run.
 type trainer struct {
 	net     *LSTM
 	grad    tensors // dL/dW, laid out like net.w

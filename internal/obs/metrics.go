@@ -435,13 +435,16 @@ func sortedKeys[V any](m map[string]V) []string {
 // evaluations are distinct from failures: a cancellation is a property of
 // the build (the candidate is never recorded), while a timeout or a
 // divergence is a property of the candidate (quarantined in the database),
-// and checkpoint-resume replay must reproduce the same class.
+// and checkpoint-resume replay must reproduce the same class. A pruned
+// evaluation was stopped at its rung by successive halving: recorded with
+// its rung value, neither failed nor quarantined.
 const (
 	OutcomeOK        = "ok"
 	OutcomeFailed    = "failed"
 	OutcomeTimeout   = "timeout"
 	OutcomeCancelled = "cancelled"
 	OutcomeDiverged  = "diverged"
+	OutcomePruned    = "pruned"
 )
 
 // ErrOutcome classifies an evaluation error into a span outcome:
