@@ -209,7 +209,7 @@ func BenchmarkStreamIngestRecordFlight(b *testing.B) {
 
 // BenchmarkStreamIngestWAL measures the batched-WAL amortization that
 // motivates the stream path: chunks of queued records hit the log as one
-// AppendBatch (one write, one fsync under sync=always) instead of one
+// wal.Append (one write, one fsync under sync=always) instead of one
 // append+fsync per record as in BenchmarkObserveWAL. ns/op is per record.
 func BenchmarkStreamIngestWAL(b *testing.B) {
 	for _, bc := range []struct {

@@ -27,6 +27,16 @@ func walOptions(opts Options, dir string) Options {
 	return opts
 }
 
+// scriptOptions are the options of a fleet that runs runScript: WAL on,
+// and one ingest shard, so the script's streamed records for both
+// workloads drain as one chunk and land as one multi-record wal.Append.
+func scriptOptions(t *testing.T, snapDir, walDir string) Options {
+	t.Helper()
+	opts := walOptions(testOptions(t, snapDir), walDir)
+	opts.IngestShards = 1
+	return opts
+}
+
 // evalSnapshot copies one workload's evaluator state for comparison. The
 // pending slice is deep-copied (and re-sliced to nil when empty) so
 // reflect.DeepEqual compares contents, not capacities; the rings compare
@@ -71,7 +81,7 @@ func copyDir(t *testing.T, src string) string {
 // traffic, interleaved across workloads.
 func scriptedFleet(t *testing.T, snapDir, walDir string) *Fleet {
 	t.Helper()
-	f, err := Open(walOptions(testOptions(t, snapDir), walDir))
+	f, err := Open(scriptOptions(t, snapDir, walDir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +111,25 @@ func runScript(t *testing.T, f *Fleet) {
 	f.RecordForecast("w2", []float64{50, 50})
 	mustObserve("w", []float64{1, 2, 1, 2}) // scored, huge error → drift
 	mustObserve("w2", []float64{48, 52})
+	// A streamed chunk: records queued before the drain workers start are
+	// applied as one chunk, one multi-record WAL append, so the crash
+	// matrix also cuts inside a batched write.
+	for _, r := range []struct {
+		id   string
+		vals []float64
+	}{{"w", []float64{3, 4}}, {"w2", []float64{51}}, {"w", []float64{5}}} {
+		if err := f.EnqueueObserve(r.id, r.vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := f.m.ingestChunks.Value()
+	f.StartIngest()
+	if !f.FlushIngest(5 * time.Second) {
+		t.Fatal("streamed records not applied")
+	}
+	if n := f.m.ingestChunks.Value() - chunks; n != 1 {
+		t.Fatalf("streamed records drained in %d chunks, want 1", n)
+	}
 	f.resetEval(f.get("w")) // rebuild verdict: windows clear, reset logged
 	f.RecordForecast("w", []float64{10, 10})
 	mustObserve("w", []float64{9, 11})
@@ -217,7 +246,7 @@ func TestWALReplayParityCrashMatrix(t *testing.T) {
 // cap forces rotation mid-script) back to oracle state.
 func TestWALRotationReplayParity(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
-	opts := walOptions(testOptions(t, snapDir), walDir)
+	opts := scriptOptions(t, snapDir, walDir)
 	opts.WAL.SegmentBytes = 128
 	f, err := Open(opts)
 	if err != nil {
@@ -356,28 +385,61 @@ func TestWALCrashAfterFsyncFailure(t *testing.T) {
 }
 
 // TestWALReplaySkipsUnknownWorkloads: records for workloads the manifest
-// no longer lists are counted and skipped, not fatal.
+// no longer lists, and record kinds this build does not know, are counted
+// and skipped, not fatal — and a skipped kind leaves its workload's
+// evaluator state exactly as the known records made it.
 func TestWALReplaySkipsUnknownWorkloads(t *testing.T) {
-	walDir := t.TempDir()
+	snapDir, walDir := t.TempDir(), t.TempDir()
+	f0, err := Open(testOptions(t, snapDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f0.Add("w", tinyModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	f0.Close()
+
 	wl, err := wal.Open(wal.Options{Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wl.Append(walKindObserve, "ghost", []float64{1, 2}); err != nil {
+	if err := wl.Append(
+		wal.Record{Kind: walKindObserve, Workload: "ghost", Values: []float64{1, 2}},
+		wal.Record{Kind: walKindForecast, Workload: "w", Values: []float64{10, 10}},
+		wal.Record{Kind: walKindObserve, Workload: "w", Values: []float64{9}},
+		wal.Record{Kind: 9, Workload: "w", Values: []float64{7, 8}},
+		wal.Record{Kind: walKindObserve, Workload: "w", Values: []float64{11}},
+	); err != nil {
 		t.Fatal(err)
 	}
 	wl.Close()
 
-	f, err := Open(walOptions(testOptions(t, t.TempDir()), walDir))
+	f, err := Open(walOptions(testOptions(t, snapDir), walDir))
 	if err != nil {
 		t.Fatalf("Open over foreign records: %v", err)
 	}
 	defer f.Close()
-	if v := f.m.walReplaySkipped.Value(); v != 1 {
-		t.Fatalf("fleet.wal.replay_skipped = %d, want 1", v)
+	if v := f.m.walReplaySkipped.Value(); v != 2 {
+		t.Fatalf("fleet.wal.replay_skipped = %d, want 2", v)
 	}
 	if f.DurabilityDegraded() {
 		t.Fatal("skipped records degraded durability")
+	}
+
+	// The oracle sees only the known records for w.
+	oracle, err := Open(testOptions(t, snapDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	oracle.RecordForecast("w", []float64{10, 10})
+	for _, v := range []float64{9, 11} {
+		if _, err := oracle.Observe("w", []float64{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := evalSnapshot(t, f, "w"), evalSnapshot(t, oracle, "w"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unknown record kind changed evaluator state\n got: %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -385,7 +447,7 @@ func TestWALReplaySkipsUnknownWorkloads(t *testing.T) {
 // fail; the fleet boots anyway, memory-only, with durability degraded.
 func TestWALMidLogCorruptionDegrades(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
-	opts := walOptions(testOptions(t, snapDir), walDir)
+	opts := scriptOptions(t, snapDir, walDir)
 	opts.WAL.SegmentBytes = 96 // tiny cap forces rotation mid-script
 	f, err := Open(opts)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"loaddynamics/internal/obs"
 	"loaddynamics/internal/ringbuf"
+	"loaddynamics/internal/wal"
 )
 
 // ring is a bounded sliding window with an O(1) rolling sum: the rolling
@@ -114,19 +115,15 @@ type Status struct {
 // RecordForecast stores the forecast horizon just served for a workload so
 // later observations can be scored against it. Unknown workloads are
 // ignored — recording is fire-and-forget on the forecast hot path. The
-// horizon is WAL-logged (under the same lock, before the state change) so
-// a restart rescores post-crash observations against the same pending
-// forecast a live process would have.
+// horizon is committed like every evaluator mutation (WAL-logged, then
+// applied), so a restart rescores post-crash observations against the same
+// pending forecast a live process would have.
 func (f *Fleet) RecordForecast(id string, forecasts []float64) {
 	e := f.get(id)
 	if e == nil || len(forecasts) == 0 {
 		return
 	}
-	e.shard.mu.Lock()
-	f.walAppend(walKindForecast, id, forecasts, obs.TraceCtx{})
-	e.eval.pending = append(e.eval.pending[:0], forecasts...)
-	e.eval.pendingNext = 0
-	e.shard.mu.Unlock()
+	f.commit(e, wal.Record{Kind: walKindForecast, Workload: id, Values: forecasts}, &ingestResult{})
 }
 
 // Observe ingests observed arrivals (oldest first) for a workload: each
@@ -145,84 +142,108 @@ func (f *Fleet) Observe(id string, values []float64) (Status, error) {
 // behaves exactly like Observe; when the flight recorder is on and no
 // trace was supplied, one is minted here.
 func (f *Fleet) ObserveCtx(id string, values []float64, tc obs.TraceCtx) (Status, error) {
+	e, tc, err := f.admitObserve(id, values, tc)
+	if err != nil {
+		return Status{}, err
+	}
+	res := ingestResult{tc: tc}
+	f.commit(e, wal.Record{Kind: walKindObserve, Workload: id, Values: values}, &res)
+	f.noteIngest(&res, true)
+	return res.st, nil
+}
+
+// admitObserve is the one admission step for an observation batch, shared
+// by ObserveCtx and EnqueueObserveCtx: the workload must exist, the batch
+// must be non-empty with every arrival finite and non-negative, and when
+// the flight recorder is on and the caller supplied no trace, one is
+// minted so in-process callers still get chained timelines.
+func (f *Fleet) admitObserve(id string, values []float64, tc obs.TraceCtx) (*entry, obs.TraceCtx, error) {
 	e := f.get(id)
 	if e == nil {
-		return Status{}, fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
+		return nil, tc, fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
 	}
-	if err := checkObservations(values); err != nil {
-		return Status{}, err
+	if len(values) == 0 {
+		return nil, tc, errors.New("fleet: empty observation batch")
+	}
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, tc, fmt.Errorf("fleet: observation %d is invalid (%v): arrivals are finite and non-negative", i, v)
+		}
 	}
 	if tc.Trace == 0 && f.flight != nil {
 		tc.Trace = f.flight.NewTrace()
 	}
-	valErr := e.valError()
+	return e, tc, nil
+}
 
+// commit is the synchronous evaluator write: WAL first, state second, both
+// under the workload's shard lock, so per-workload log order equals
+// mutation order. An append failure degrades to memory-only inside
+// walAppend — the mutation is never dropped. res brings the trace context
+// in and takes an observe record's outcome out.
+func (f *Fleet) commit(e *entry, rec wal.Record, res *ingestResult) {
 	e.shard.mu.Lock()
-	// WAL first, state second, both under the shard lock: the
-	// per-workload record order in the log equals the evaluator mutation
-	// order, so startup replay reconstructs this exact state. An append
-	// failure degrades to memory-only inside walAppend — the observation
-	// is never dropped.
-	f.walAppend(walKindObserve, id, values, tc)
-	st, wasDrift, enoughHistory := f.ingestLocked(e, values, valErr)
+	f.walAppend(res.tc, rec)
+	f.applyLocked(e, rec, res)
 	e.shard.mu.Unlock()
-
-	f.noteIngest(e, &st, wasDrift, enoughHistory, true, valErr, tc)
-	return st, nil
 }
 
-// checkObservations is the one admission check for an observation batch,
-// shared by ObserveCtx and EnqueueObserveCtx: a batch must be non-empty
-// and every arrival finite and non-negative.
-func checkObservations(values []float64) error {
-	if len(values) == 0 {
-		return errors.New("fleet: empty observation batch")
-	}
-	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("fleet: observation %d is invalid (%v): arrivals are finite and non-negative", i, v)
+// applyLocked applies one record to e's evaluator state, by kind. It is
+// the only code that mutates evaluator state from a record: live observes,
+// streamed chunks, served forecasts, resets and startup replay all run it,
+// which is what makes replayed state bit-identical to the pre-crash
+// evaluator. Callers hold e.shard.mu. For an observe record it fills res
+// with the scoring outcome noteIngest reports after unlock (written in
+// place: the result is too large to return by value on the hot path). It
+// returns false for a kind this build does not know, leaving state alone.
+func (f *Fleet) applyLocked(e *entry, rec wal.Record, res *ingestResult) bool {
+	switch rec.Kind {
+	case walKindForecast:
+		e.eval.pending = append(e.eval.pending[:0], rec.Values...)
+		e.eval.pendingNext = 0
+	case walKindReset:
+		e.eval.reset()
+		e.mape.Set(0)
+	case walKindObserve:
+		// Each value extends the rebuild history, consumes the pending
+		// forecast cursor, and updates the rolling windows; the drift
+		// verdict is re-evaluated once per batch.
+		res.e, res.valErr = e, e.valError()
+		res.st = Status{Accepted: len(rec.Values)}
+		for _, v := range rec.Values {
+			e.eval.history.push(v)
+			if e.eval.pendingNext >= len(e.eval.pending) {
+				continue
+			}
+			pred := e.eval.pending[e.eval.pendingNext]
+			e.eval.pendingNext++
+			res.st.Scored++
+			if v != 0 {
+				e.eval.pctErrs.push(100 * math.Abs(pred-v) / v)
+			}
+			e.eval.sqErrs.push((pred - v) * (pred - v))
 		}
+		res.st.Samples = e.eval.samples()
+		res.st.RollingMAPE = e.eval.rollingMAPE()
+		res.st.RollingRMSE = e.eval.rollingRMSE()
+		res.wasDrift = e.eval.drift
+		res.st.Drift = f.isDrifted(res.st.Samples, res.st.RollingMAPE, res.valErr)
+		e.eval.drift = res.st.Drift
+		res.enoughHistory = e.eval.history.samples() >= f.opts.MinRebuildHistory
+	default:
+		return false
 	}
-	return nil
+	return true
 }
 
-// ingestLocked runs the scoring loop for one observation batch: each value
-// extends the rebuild history, consumes the pending forecast cursor, and
-// updates the rolling windows and drift verdict. Callers hold e.shard.mu.
-// Live observes and startup replay share this path, which is what makes
-// replayed state bit-identical to the pre-crash evaluator.
-func (f *Fleet) ingestLocked(e *entry, values []float64, valErr float64) (st Status, wasDrift, enoughHistory bool) {
-	st = Status{Accepted: len(values)}
-	for _, v := range values {
-		e.eval.history.push(v)
-		if e.eval.pendingNext >= len(e.eval.pending) {
-			continue
-		}
-		pred := e.eval.pending[e.eval.pendingNext]
-		e.eval.pendingNext++
-		st.Scored++
-		if v != 0 {
-			e.eval.pctErrs.push(100 * math.Abs(pred-v) / v)
-		}
-		e.eval.sqErrs.push((pred - v) * (pred - v))
-	}
-	st.Samples = e.eval.samples()
-	st.RollingMAPE = e.eval.rollingMAPE()
-	st.RollingRMSE = e.eval.rollingRMSE()
-	wasDrift = e.eval.drift
-	st.Drift = f.isDrifted(st.Samples, st.RollingMAPE, valErr)
-	e.eval.drift = st.Drift
-	enoughHistory = e.eval.history.samples() >= f.opts.MinRebuildHistory
-	return st, wasDrift, enoughHistory
-}
-
-// noteIngest reports one ingest into the fleet's metrics. live=false
-// (startup replay) updates counters and gauges exactly as a live observe
-// would — drift-transition counts and the rolling-MAPE gauge survive a
-// restart bit-identically — but suppresses logs and rebuild enqueues:
-// replay reconstructs state, it must not re-trigger work or re-announce
-// transitions the pre-crash process already acted on.
-func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live bool, valErr float64, tc obs.TraceCtx) {
+// noteIngest reports one applied observe into the fleet's metrics.
+// live=false (startup replay) updates counters and gauges exactly as a
+// live observe would — drift-transition counts and the rolling-MAPE gauge
+// survive a restart bit-identically — but suppresses logs and rebuild
+// enqueues: replay reconstructs state, it must not re-trigger work or
+// re-announce transitions the pre-crash process already acted on.
+func (f *Fleet) noteIngest(r *ingestResult, live bool) {
+	e, st, tc := r.e, &r.st, r.tc
 	f.m.observations.Add(int64(st.Accepted))
 	e.mape.Set(int64(math.Round(st.RollingMAPE)))
 
@@ -232,24 +253,24 @@ func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live b
 	// (live=false) records nothing — it reconstructs state, not history.
 	// The typed entry points store fixed-size slots: no map, no allocation.
 	attrs := obs.IngestAttrs{Accepted: st.Accepted, Scored: st.Scored,
-		Samples: st.Samples, RollingMAPE: st.RollingMAPE, ValError: valErr}
+		Samples: st.Samples, RollingMAPE: st.RollingMAPE, ValError: r.valErr}
 	var batchID, driftID uint64
 	if live {
-		batchID = f.flight.RecordBatch(e.id, tc, attrs, st.Drift != wasDrift)
+		batchID = f.flight.RecordBatch(e.id, tc, attrs, st.Drift != r.wasDrift)
 	}
 	batchTC := obs.TraceCtx{Trace: tc.Trace, Parent: batchID, RequestID: tc.RequestID}
 	switch {
-	case st.Drift && !wasDrift:
+	case st.Drift && !r.wasDrift:
 		f.m.drift.Inc()
 		if live {
 			driftID = f.flight.RecordDrift(e.id, batchTC, attrs, true)
 			f.log.Warn("drift detected",
 				obs.LogWorkload, e.id,
 				"rolling_mape", st.RollingMAPE,
-				"val_error", valErr,
+				"val_error", r.valErr,
 				"samples", st.Samples)
 		}
-	case !st.Drift && wasDrift:
+	case !st.Drift && r.wasDrift:
 		if live {
 			f.flight.RecordDrift(e.id, batchTC, attrs, false)
 			f.log.Info("drift cleared",
@@ -258,7 +279,7 @@ func (f *Fleet) noteIngest(e *entry, st *Status, wasDrift, enoughHistory, live b
 				"samples", st.Samples)
 		}
 	}
-	if st.Drift && enoughHistory && live {
+	if st.Drift && r.enoughHistory && live {
 		// Latch the causal context BEFORE enqueueing: the rebuild worker
 		// may start the build before this goroutine records the enqueue
 		// event, and the latch is what fleet.rebuild spans and rebuild.*

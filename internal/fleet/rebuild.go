@@ -13,6 +13,7 @@ import (
 	"loaddynamics/internal/core"
 	"loaddynamics/internal/obs"
 	"loaddynamics/internal/profile"
+	"loaddynamics/internal/wal"
 )
 
 // Start launches the background rebuild workers. They exit when ctx is
@@ -370,11 +371,7 @@ func durationMS(d time.Duration) float64 {
 // the log and memory, every observation is wholly before or wholly after
 // the reset, never torn across it.
 func (f *Fleet) resetEval(e *entry) {
-	e.shard.mu.Lock()
-	f.walAppend(walKindReset, e.id, nil, obs.TraceCtx{})
-	e.eval.reset()
-	e.shard.mu.Unlock()
-	e.mape.Set(0)
+	f.commit(e, wal.Record{Kind: walKindReset, Workload: e.id}, &ingestResult{})
 }
 
 // rebuildConfig derives the core configuration for one rebuild: the

@@ -8,28 +8,28 @@ package fleet
 // that used to live per-entry — plus a bounded ingest queue and one
 // drain worker. EnqueueObserve validates and copies a record into the
 // shard's queue without touching the eval lock at all; the worker drains
-// up to IngestChunk queued records, takes the shard lock once, appends
-// the whole run to the WAL in a single batched write (one fsync under
-// SyncAlways instead of one per record), applies each record to its
-// workload's rings, and releases the lock. Hot workloads stop paying a
-// lock acquisition plus a WAL fsync per observation; the per-workload
-// WAL append-before-mutate ordering is preserved because both still
-// happen under the same (now shard-wide) lock, in queue order.
+// up to IngestChunk queued records, takes the shard lock once, logs the
+// whole run with one wal.Append (one fsync under SyncAlways instead of
+// one per record), runs applyLocked — the same apply function a single
+// Observe and startup replay use — on each record, and releases the
+// lock. Hot workloads stop paying a lock acquisition plus a WAL fsync per
+// observation; the per-workload WAL append-before-mutate ordering is
+// preserved because both still happen under the same (now shard-wide)
+// lock, in queue order.
 //
 // Backpressure is explicit: a full shard queue rejects the record with
 // ErrIngestQueueFull — never blocks, never drops silently — and the
 // serving layer translates that into 429 + Retry-After. Per-shard depth
 // gauges (fleet.ingest.depth.shard<N>) expose where the pressure is.
 //
-// resetEval, Observe, RecordForecast, status reads, rebuild history
-// copies and startup replay all serialize through the same shard lock,
-// so a drift-reset can never interleave inside a streamed batch's
-// WAL-append/mutate window (the lost-observation interleaving this
-// design exists to prevent).
+// resetEval, Observe and RecordForecast (through commit), status reads,
+// rebuild history copies and startup replay all serialize through the
+// same shard lock, so a drift-reset can never interleave inside a
+// streamed batch's WAL-append/mutate window (the lost-observation
+// interleaving this design exists to prevent).
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"strconv"
 	"sync"
@@ -58,8 +58,8 @@ type ingestJob struct {
 	tc obs.TraceCtx
 }
 
-// ingestResult carries one applied job's scoring outcome from the locked
-// apply loop to the unlocked metrics/rebuild notification pass.
+// ingestResult carries one applied observe record's scoring outcome from
+// applyLocked, under the shard lock, to noteIngest, after unlock.
 type ingestResult struct {
 	e             *entry
 	st            Status
@@ -137,15 +137,9 @@ func (f *Fleet) EnqueueObserve(id string, values []float64) error {
 // no trace, one is minted here so in-process callers still get chained
 // timelines.
 func (f *Fleet) EnqueueObserveCtx(id string, values []float64, tc obs.TraceCtx) error {
-	e := f.get(id)
-	if e == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
-	}
-	if err := checkObservations(values); err != nil {
+	e, tc, err := f.admitObserve(id, values, tc)
+	if err != nil {
 		return err
-	}
-	if tc.Trace == 0 && f.flight != nil {
-		tc.Trace = f.flight.NewTrace()
 	}
 	bp := valuePool.Get().(*[]float64)
 	*bp = append((*bp)[:0], values...)
@@ -226,9 +220,9 @@ gathered:
 }
 
 // applyChunk is the locked heart of streaming ingest: WAL-append the
-// whole chunk as one batch, then apply each record to its workload's
-// rings, all under one shard-lock hold. Metrics, drift notifications and
-// rebuild enqueues run after unlock, exactly as Observe orders them.
+// whole chunk as one wal.Append, then run applyLocked on each record, all
+// under one shard-lock hold. Metrics, drift notifications and rebuild
+// enqueues run after unlock, exactly as ObserveCtx orders them.
 func (f *Fleet) applyChunk(sh *evalShard) {
 	sh.results = sh.results[:0]
 	sh.recs = sh.recs[:0]
@@ -240,19 +234,15 @@ func (f *Fleet) applyChunk(sh *evalShard) {
 	// WAL before mutate, same lock: per-workload record order in the log
 	// equals evaluator mutation order, chunk boundaries included, so
 	// crash replay reconstructs this exact state.
-	f.walAppendBatch(sh.recs, sh.jobs[0].tc)
-	for _, job := range sh.jobs {
-		valErr := job.e.valError()
-		st, wasDrift, enoughHistory := f.ingestLocked(job.e, *job.values, valErr)
-		sh.results = append(sh.results, ingestResult{
-			e: job.e, st: st, wasDrift: wasDrift, enoughHistory: enoughHistory, valErr: valErr, tc: job.tc,
-		})
+	f.walAppend(sh.jobs[0].tc, sh.recs...)
+	for i, job := range sh.jobs {
+		sh.results = append(sh.results, ingestResult{tc: job.tc})
+		f.applyLocked(job.e, sh.recs[i], &sh.results[i])
 	}
 	sh.mu.Unlock()
 
 	for i := range sh.results {
-		r := &sh.results[i]
-		f.noteIngest(r.e, &r.st, r.wasDrift, r.enoughHistory, true, r.valErr, r.tc)
+		f.noteIngest(&sh.results[i], true)
 	}
 	for i := range sh.jobs {
 		valuePool.Put(sh.jobs[i].values)
@@ -295,18 +285,4 @@ func (f *Fleet) IngestDepth() int64 {
 		total += sh.pending.Load()
 	}
 	return total
-}
-
-// walAppendBatch logs a chunk of evaluator events as one write (callers
-// hold the owning shard's lock). Degradation mirrors walAppend: the first
-// failure latches memory-only mode, counted per record so append_failures
-// stays comparable with the single-record path.
-func (f *Fleet) walAppendBatch(recs []wal.Record, tc obs.TraceCtx) {
-	if f.wal == nil || f.walFailed.Load() || len(recs) == 0 {
-		return
-	}
-	if err := f.wal.AppendBatch(recs); err != nil {
-		f.m.walAppendFailures.Add(int64(len(recs)))
-		f.degradeWAL("append_batch", recs[0].Workload, err, tc)
-	}
 }

@@ -6,10 +6,12 @@ package fleet
 // restart restores observation history, rolling MAPE/RMSE windows and
 // drift state to exactly what the crash interrupted.
 //
-// Appends happen inside the workload's shard lock (entry.shard.mu), so
-// the per-workload record order in the log equals the evaluator mutation
-// order — the property replay parity rests on. Cross-workload
-// interleaving is irrelevant: replay applies per-workload state.
+// Every mutation is a wal.Record, logged by walAppend and applied by
+// applyLocked inside the workload's shard lock (entry.shard.mu), so the
+// per-workload record order in the log equals the evaluator mutation
+// order, and replay runs the same apply code the live process ran — the
+// two properties replay parity rests on. Cross-workload interleaving is
+// irrelevant: replay applies per-workload state.
 //
 // Failure policy: a WAL open error fails Open (a misconfigured durability
 // dir should not boot silently non-durable), but a runtime append failure
@@ -31,18 +33,19 @@ const (
 	walKindReset    byte = 3 // evaluator reset after a rebuild verdict
 )
 
-// walAppend logs one evaluator event. Callers hold the entry's shard lock.
-// With no WAL configured this is a single nil check — the observe hot
-// path stays allocation-free. An append error latches degraded mode; the
-// in-memory mutation proceeds regardless, so no request is ever dropped
-// for a durability failure.
-func (f *Fleet) walAppend(kind byte, id string, values []float64, tc obs.TraceCtx) {
+// walAppend logs evaluator records as one wal.Append — a single commit or
+// a whole streamed chunk. Callers hold the shard lock of every record's
+// workload. With no WAL configured this is a single nil check — the
+// observe hot path stays allocation-free. An append error latches
+// degraded mode, counted per record; the in-memory mutation proceeds
+// regardless, so no request is ever dropped for a durability failure.
+func (f *Fleet) walAppend(tc obs.TraceCtx, recs ...wal.Record) {
 	if f.wal == nil || f.walFailed.Load() {
 		return
 	}
-	if err := f.wal.Append(kind, id, values); err != nil {
-		f.m.walAppendFailures.Inc()
-		f.degradeWAL("append", id, err, tc)
+	if err := f.wal.Append(recs...); err != nil {
+		f.m.walAppendFailures.Add(int64(len(recs)))
+		f.degradeWAL("append", recs[0].Workload, err, tc)
 	}
 }
 
@@ -91,13 +94,14 @@ func (f *Fleet) WALStats() wal.Stats {
 	return f.wal.Stats()
 }
 
-// replayWAL restores evaluator state from the log at boot. Records replay
-// through the same ingest/noteIngest path live observations take — with
-// live=false, so counters and gauges (fleet.observations, fleet.drift,
-// per-workload rolling MAPE) end up bit-identical to a process that had
-// ingested the same records, while logs and rebuild enqueues stay
-// suppressed. Records for workloads the manifest no longer lists are
-// counted and skipped.
+// replayWAL restores evaluator state from the log at boot. Each record
+// goes through applyLocked, the function live commits and streamed chunks
+// run, and observe records through noteIngest with live=false, so
+// counters and gauges (fleet.observations, fleet.drift, per-workload
+// rolling MAPE) end up bit-identical to a process that had ingested the
+// same records, while logs and rebuild enqueues stay suppressed. Records
+// for workloads the manifest no longer lists, and record kinds this build
+// does not know, are counted as skipped.
 func (f *Fleet) replayWAL() error {
 	return f.wal.Replay(func(rec wal.Record) error {
 		f.m.walReplayed.Inc()
@@ -106,25 +110,15 @@ func (f *Fleet) replayWAL() error {
 			f.m.walReplaySkipped.Inc()
 			return nil
 		}
-		switch rec.Kind {
-		case walKindForecast:
-			e.shard.mu.Lock()
-			e.eval.pending = append(e.eval.pending[:0], rec.Values...)
-			e.eval.pendingNext = 0
-			e.shard.mu.Unlock()
-		case walKindReset:
-			e.shard.mu.Lock()
-			e.eval.reset()
-			e.shard.mu.Unlock()
-			e.mape.Set(0)
-		case walKindObserve:
-			valErr := e.valError()
-			e.shard.mu.Lock()
-			st, wasDrift, _ := f.ingestLocked(e, rec.Values, valErr)
-			e.shard.mu.Unlock()
-			f.noteIngest(e, &st, wasDrift, false, false, valErr, obs.TraceCtx{})
-		default:
+		var res ingestResult
+		e.shard.mu.Lock()
+		ok := f.applyLocked(e, rec, &res)
+		e.shard.mu.Unlock()
+		switch {
+		case !ok:
 			f.m.walReplaySkipped.Inc() // future record kind: ignore, don't fail the boot
+		case rec.Kind == walKindObserve:
+			f.noteIngest(&res, false)
 		}
 		return nil
 	})

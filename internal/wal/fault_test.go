@@ -6,6 +6,7 @@ package wal_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,70 +14,95 @@ import (
 	"loaddynamics/internal/wal/faultfs"
 )
 
+// records returns n one-value records for workload "w".
+func records(n int) []wal.Record {
+	recs := make([]wal.Record, n)
+	for i := range recs {
+		recs[i] = wal.Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}}
+	}
+	return recs
+}
+
+// TestSyncPolicyAccounting pins fsyncs per Append under each policy, for
+// single records and batches alike: the policy runs once per Append,
+// however many records it carries. The latch leg pins that the first
+// failed write latches the log for every later Append, whatever its size.
 func TestSyncPolicyAccounting(t *testing.T) {
-	t.Run("always", func(t *testing.T) {
-		ffs := faultfs.New(nil)
-		l, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: ffs, Sync: wal.SyncAlways})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		_, before := ffs.Counts()
-		for i := 0; i < 10; i++ {
-			if err := l.Append(1, "w", []float64{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, after := ffs.Counts(); after-before != 10 {
-			t.Fatalf("SyncAlways: %d syncs for 10 appends", after-before)
-		}
-	})
-
-	t.Run("off", func(t *testing.T) {
-		ffs := faultfs.New(nil)
-		l, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: ffs, Sync: wal.SyncOff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		_, before := ffs.Counts()
-		for i := 0; i < 10; i++ {
-			if err := l.Append(1, "w", []float64{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, after := ffs.Counts(); after != before {
-			t.Fatalf("SyncOff: %d syncs during appends", after-before)
-		}
-		// Explicit Sync still works under SyncOff.
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if _, after := ffs.Counts(); after != before+1 {
-			t.Fatal("explicit Sync did not reach the file")
-		}
-	})
-
-	t.Run("interval", func(t *testing.T) {
-		ffs := faultfs.New(nil)
-		l, err := wal.Open(wal.Options{
-			Dir: t.TempDir(), FS: ffs,
-			Sync: wal.SyncInterval, SyncInterval: time.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		_, before := ffs.Counts()
-		for i := 0; i < 10; i++ {
-			if err := l.Append(1, "w", []float64{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	const calls = 10
+	cases := []struct {
+		name      string
+		opts      wal.Options
+		wantSyncs int
+	}{
+		{"always", wal.Options{Sync: wal.SyncAlways}, calls},
+		{"off", wal.Options{Sync: wal.SyncOff}, 0},
 		// lastSync starts at the zero time, so the first append syncs and
 		// the hour-long interval suppresses the other nine.
-		if _, after := ffs.Counts(); after-before != 1 {
-			t.Fatalf("SyncInterval(1h): %d syncs for 10 appends, want 1", after-before)
+		{"interval", wal.Options{Sync: wal.SyncInterval, SyncInterval: time.Hour}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, n := range []int{1, 64} {
+				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+					ffs := faultfs.New(nil)
+					opts := c.opts
+					opts.Dir, opts.FS = t.TempDir(), ffs
+					l, err := wal.Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer l.Close()
+					recs := records(n)
+					_, before := ffs.Counts()
+					for i := 0; i < calls; i++ {
+						if err := l.Append(recs...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, after := ffs.Counts(); after-before != c.wantSyncs {
+						t.Fatalf("%d syncs for %d appends of %d records, want %d", after-before, calls, n, c.wantSyncs)
+					}
+					if st := l.Stats(); st.Appended != int64(calls*n) {
+						t.Fatalf("Appended = %d, want %d", st.Appended, calls*n)
+					}
+					if c.opts.Sync != wal.SyncOff {
+						return
+					}
+					// Explicit Sync still works under SyncOff.
+					if err := l.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					if _, after := ffs.Counts(); after != before+1 {
+						t.Fatal("explicit Sync did not reach the file")
+					}
+				})
+			}
+		})
+	}
+
+	t.Run("latch", func(t *testing.T) {
+		for _, n := range []int{1, 64} {
+			t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+				ffs := faultfs.New(nil)
+				l, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: ffs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				recs := records(n)
+				ffs.FailWrites(0, 0)
+				first := l.Append(recs...)
+				if first == nil {
+					t.Fatal("append over failing disk succeeded")
+				}
+				ffs.Reset()
+				if err := l.Append(recs...); err != first {
+					t.Fatalf("same-size append after latch: got %v, want the latched %v", err, first)
+				}
+				if err := l.Append(recs[0]); err != first {
+					t.Fatalf("single append after latch: got %v, want the latched %v", err, first)
+				}
+			})
 		}
 	})
 }
@@ -88,18 +114,18 @@ func TestLatchedWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(1, "w", []float64{1}); err != nil {
+	if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	ffs.FailWrites(0, 0)
-	first := l.Append(1, "w", []float64{2})
+	first := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{2}})
 	if !errors.Is(first, faultfs.ErrInjected) {
 		t.Fatalf("injected write error not surfaced: %v", first)
 	}
 	// The failure latches: later appends fail fast with the same error,
 	// even after the disk "heals".
 	ffs.Reset()
-	if err := l.Append(1, "w", []float64{3}); err != first {
+	if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{3}}); err != first {
 		t.Fatalf("append after latched failure: got %v, want the latched %v", err, first)
 	}
 	if l.Err() != first {
@@ -114,11 +140,11 @@ func TestLatchedFsyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(1, "w", []float64{1}); err != nil {
+	if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	ffs.FailSyncs(0)
-	if err := l.Append(1, "w", []float64{2}); !errors.Is(err, faultfs.ErrInjected) {
+	if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{2}}); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("injected fsync error not surfaced: %v", err)
 	}
 	if l.Err() == nil {
@@ -137,12 +163,12 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(1, "w", []float64{float64(i)}); err != nil {
+		if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ffs.FailWrites(0, 5) // next record tears after 5 bytes
-	if err := l.Append(1, "w", []float64{3}); !errors.Is(err, faultfs.ErrInjected) {
+	if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{3}}); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("torn write not surfaced: %v", err)
 	}
 	l.Close()
@@ -201,46 +227,11 @@ func TestSlowIO(t *testing.T) {
 	defer l.Close()
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		if err := l.Append(1, "w", []float64{1}); err != nil {
+		if err := l.Append(wal.Record{Kind: 1, Workload: "w", Values: []float64{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
 		t.Fatalf("slow-I/O delay not applied: 5 writes in %v", elapsed)
-	}
-}
-
-func TestAppendBatchSyncAccountingAndLatch(t *testing.T) {
-	ffs := faultfs.New(nil)
-	l, err := wal.Open(wal.Options{Dir: t.TempDir(), FS: ffs, Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	batch := make([]wal.Record, 64)
-	for i := range batch {
-		batch[i] = wal.Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}}
-	}
-	_, before := ffs.Counts()
-	if err := l.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, after := ffs.Counts(); after-before != 1 {
-		t.Fatalf("SyncAlways batch: %d fsyncs for one batch, want 1", after-before)
-	}
-	if st := l.Stats(); st.Appended != int64(len(batch)) {
-		t.Fatalf("Appended = %d, want %d", st.Appended, len(batch))
-	}
-
-	// The first injected write failure latches the whole log.
-	ffs.FailWrites(0, 0)
-	if err := l.AppendBatch(batch[:2]); err == nil {
-		t.Fatal("batch append over failing disk succeeded")
-	}
-	ffs.Reset()
-	err1 := l.AppendBatch(batch[:1])
-	err2 := l.Append(1, "w", []float64{1})
-	if err1 == nil || err2 == nil || !errors.Is(err2, err1) && err1.Error() != err2.Error() {
-		t.Fatalf("latched errors differ: batch=%v append=%v", err1, err2)
 	}
 }

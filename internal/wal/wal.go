@@ -6,6 +6,11 @@
 // any byte boundary reopens cleanly and replays exactly the records that
 // were durable.
 //
+// Log has one writer, Append, which takes a run of records: a single
+// observation and a streamed chunk of hundreds go through the same
+// validate → one framed write → one fsync-policy step, so there is one
+// write path to reason about and to test.
+//
 // Failure semantics are latched: the first write or fsync error marks the
 // log failed and every later Append returns that error immediately.
 // Continuing to append after a torn write would leave durable records
@@ -36,8 +41,8 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every record: no acknowledged observation
-	// is ever lost, at the price of one fsync per append.
+	// SyncAlways fsyncs after every Append: no acknowledged observation
+	// is ever lost, at the price of one fsync per append call.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs at most once per Options.SyncInterval, piggy-
 	// backed on appends: a crash loses at most the last interval's
@@ -75,8 +80,8 @@ type Options struct {
 	FS FS
 	// SegmentBytes caps one segment file's size (default 64 MiB). An
 	// append that would overflow the cap rotates to a fresh segment
-	// first; a single record larger than the cap still gets written (as
-	// its own oversized segment content) rather than rejected.
+	// first; a single Append larger than the cap still gets written (as
+	// its own oversized segment content) rather than rejected or split.
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncAlways — durability first,
 	// opt into speed).
@@ -134,7 +139,7 @@ type Log struct {
 	seq      int64   // current segment sequence number
 	segBytes int64   // bytes in the current segment
 	segments []int64 // live segment sequence numbers, ascending
-	buf      []byte  // append scratch: one framed record
+	buf      []byte  // append scratch: one Append's framed records
 	lastSync time.Time
 	failed   error // latched first I/O failure
 	stats    Stats
@@ -271,61 +276,19 @@ func parseSegmentName(name string) (int64, bool) {
 	return seq, true
 }
 
-// Append logs one record under the configured fsync policy. The first
-// I/O failure latches: the record may be torn on disk, so the log refuses
-// all further appends with the same error (recovery truncates the tear on
-// the next open). Appending is allocation-free in steady state — the
-// record is framed into a reused scratch buffer.
-func (l *Log) Append(kind byte, workload string, values []float64) error {
-	if len(workload) == 0 || len(workload) > MaxWorkloadLen {
-		return fmt.Errorf("wal: workload id length %d outside 1..%d", len(workload), MaxWorkloadLen)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	l.buf = appendFramed(l.buf[:0], kind, workload, values)
-	if l.segBytes+int64(len(l.buf)) > l.opts.SegmentBytes && l.segBytes > int64(len(segmentMagic)) {
-		if err := l.rotateLocked(); err != nil {
-			l.failed = err
-			return err
-		}
-	}
-	if _, err := l.f.Write(l.buf); err != nil {
-		l.failed = fmt.Errorf("wal: append: %w", err)
-		return l.failed
-	}
-	l.segBytes += int64(len(l.buf))
-	l.stats.Appended++
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.f.Sync(); err != nil {
-			l.failed = fmt.Errorf("wal: fsync: %w", err)
-			return l.failed
-		}
-	case SyncInterval:
-		if now := time.Now(); now.Sub(l.lastSync) >= l.opts.SyncInterval {
-			if err := l.f.Sync(); err != nil {
-				l.failed = fmt.Errorf("wal: fsync: %w", err)
-				return l.failed
-			}
-			l.lastSync = now
-		}
-	}
-	return nil
-}
-
-// AppendBatch logs a run of records as one write: every record is framed
-// into the shared scratch buffer, handed to the OS in a single Write call,
-// and the fsync policy is applied once for the whole batch — the batching
-// win that makes streaming ingest cheap (one fsync amortized over N
-// records instead of N fsyncs). Records become durable in slice order, so
-// a caller that keeps each workload's records ordered within the batch
-// preserves the per-workload replay ordering Append guarantees. Failure
-// semantics match Append: the first I/O error latches and the whole batch
-// is considered torn (recovery truncates whatever partial prefix landed).
-func (l *Log) AppendBatch(recs []Record) error {
+// Append logs a run of records as one write under the configured fsync
+// policy: every record is validated first (a bad one rejects the whole
+// run, writes nothing and latches nothing), then framed into the reused
+// scratch buffer, handed to the OS in a single Write call, and the fsync
+// policy is applied once for the run — one fsync amortized over N records
+// under SyncAlways. A run never splits across segments. Records become
+// durable in argument order, so a caller that keeps each workload's
+// records ordered preserves the per-workload replay order. The first I/O
+// failure latches: the run may be torn on disk, so the log refuses all
+// further appends with the same error (recovery truncates the tear on the
+// next open). Appending is allocation-free in steady state; an empty run
+// is a no-op.
+func (l *Log) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -350,7 +313,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 		}
 	}
 	if _, err := l.f.Write(l.buf); err != nil {
-		l.failed = fmt.Errorf("wal: append batch: %w", err)
+		l.failed = fmt.Errorf("wal: append: %w", err)
 		return l.failed
 	}
 	l.segBytes += int64(len(l.buf))

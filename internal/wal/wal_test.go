@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,118 +47,205 @@ func sameRecords(a, b []Record) bool {
 	return true
 }
 
+// runLens are the run lengths the writer tests append in: one record per
+// Append, and batches. Log has one writer, so every writer property is
+// pinned for both shapes.
+var runLens = []int{1, 3}
+
+// appendRuns appends recs in runs of n records, one Append per run.
+func appendRuns(t *testing.T, l *Log, recs []Record, n int) {
+	t.Helper()
+	for i := 0; i < len(recs); i += n {
+		if err := l.Append(recs[i:min(i+n, len(recs))]...); err != nil {
+			t.Fatalf("Append(records %d..): %v", i, err)
+		}
+	}
+}
+
+// seqRecords returns one-value records for workload "w" carrying from..to-1.
+func seqRecords(from, to int) []Record {
+	recs := make([]Record, 0, to-from)
+	for i := from; i < to; i++ {
+		recs = append(recs, Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}})
+	}
+	return recs
+}
+
 func TestRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Record{
-		{Kind: 1, Workload: "api", Values: []float64{1, 2, 3}},
-		{Kind: 2, Workload: "batch", Values: []float64{4.5}},
-		{Kind: 3, Workload: "api", Values: nil},
-		{Kind: 1, Workload: "api", Values: []float64{7, 8}},
-	}
-	for _, r := range want {
-		if err := l.Append(r.Kind, r.Workload, r.Values); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if st := l.Stats(); st.Appended != int64(len(want)) || st.Segments != 1 {
-		t.Fatalf("stats after append: %+v", st)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	for _, n := range runLens {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []Record{
+				{Kind: 1, Workload: "api", Values: []float64{1, 2, 3}},
+				{Kind: 2, Workload: "batch", Values: []float64{4.5}},
+				{Kind: 3, Workload: "api", Values: nil},
+				{Kind: 1, Workload: "api", Values: []float64{7, 8}},
+				{Kind: 1, Workload: "tail", Values: []float64{9}},
+			}
+			// An empty Append is a no-op.
+			if err := l.Append(); err != nil {
+				t.Fatalf("empty Append: %v", err)
+			}
+			if st := l.Stats(); st.Appended != 0 || l.segBytes != int64(len(segmentMagic)) {
+				t.Fatalf("empty Append wrote: %+v, %d segment bytes", st, l.segBytes)
+			}
+			appendRuns(t, l, want, n)
+			if st := l.Stats(); st.Appended != int64(len(want)) || st.Segments != 1 {
+				t.Fatalf("stats after append: %+v", st)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
-	got := collect(t, l2)
-	// nil vs empty Values both decode to empty.
-	want[2].Values = []float64{}
-	got[2].Values = append([]float64{}, got[2].Values...)
-	if !sameRecords(got, want) {
-		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if st := l2.Stats(); st.Replayed != int64(len(want)) || st.TruncatedBytes != 0 {
-		t.Fatalf("stats after replay: %+v", st)
-	}
-	// Appending after replay continues the same segment.
-	if err := l2.Append(1, "api", []float64{9}); err != nil {
-		t.Fatalf("append after replay: %v", err)
+			l2, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			got := collect(t, l2)
+			// nil vs empty Values both decode to empty.
+			want[2].Values = []float64{}
+			got[2].Values = append([]float64{}, got[2].Values...)
+			if !sameRecords(got, want) {
+				t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
+			}
+			if st := l2.Stats(); st.Replayed != int64(len(want)) || st.TruncatedBytes != 0 {
+				t.Fatalf("stats after replay: %+v", st)
+			}
+			// Appending after replay continues the same segment.
+			if err := l2.Append(Record{Kind: 1, Workload: "api", Values: []float64{9}}); err != nil {
+				t.Fatalf("append after replay: %v", err)
+			}
+		})
 	}
 }
 
+// TestAppendValidation: a run holding one bad workload id is rejected
+// whole — nothing written, even the valid records before it — and the
+// rejection does not latch the log.
 func TestAppendValidation(t *testing.T) {
-	l, err := Open(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append(1, "", nil); err == nil {
-		t.Fatal("empty workload accepted")
-	}
-	if err := l.Append(1, strings.Repeat("x", MaxWorkloadLen+1), nil); err == nil {
-		t.Fatal("oversized workload accepted")
-	}
-	// Validation errors must not latch the log.
-	if err := l.Append(1, "ok", []float64{1}); err != nil {
-		t.Fatalf("valid append after validation error: %v", err)
+	for _, n := range runLens {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			l, err := Open(Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, bad := range []string{"", strings.Repeat("x", MaxWorkloadLen+1)} {
+				run := append(seqRecords(0, n-1), Record{Kind: 1, Workload: bad})
+				if err := l.Append(run...); err == nil {
+					t.Fatalf("workload id of length %d accepted", len(bad))
+				}
+			}
+			if st := l.Stats(); st.Appended != 0 || l.segBytes != int64(len(segmentMagic)) {
+				t.Fatalf("rejected runs wrote: %+v, %d segment bytes", st, l.segBytes)
+			}
+			// Validation errors must not latch the log.
+			if err := l.Append(seqRecords(0, n)...); err != nil {
+				t.Fatalf("valid append after validation error: %v", err)
+			}
+			if st := l.Stats(); st.Appended != int64(n) {
+				t.Fatalf("Appended = %d after rejected runs, want %d", st.Appended, n)
+			}
+		})
 	}
 }
 
+// TestRotationAndRetention rotates and caps segments under runs of n
+// records, then pins that a run never splits across segments: after a
+// pad fills most of a segment, two records overflow the cap together
+// although the first alone would still fit. One per Append, the first
+// lands in the old segment; as one run, both move whole to a fresh one.
 func TestRotationAndRetention(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := l.Append(1, "w", []float64{float64(i)}); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	st := l.Stats()
-	if st.Segments < 2 {
-		t.Fatalf("expected rotation, got %d segments", st.Segments)
-	}
-	got := collect(t, l)
-	if len(got) != 20 {
-		t.Fatalf("replayed %d records across segments, want 20", len(got))
-	}
-	for i, r := range got {
-		if r.Values[0] != float64(i) {
-			t.Fatalf("record %d out of order: %v", i, r.Values)
-		}
-	}
-	l.Close()
+	for _, c := range []struct{ n, firstSegRecords int }{{1, 2}, {3, 1}} {
+		t.Run(fmt.Sprintf("n=%d", c.n), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, SegmentBytes: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRuns(t, l, seqRecords(0, 20), c.n)
+			st := l.Stats()
+			if st.Segments < 2 {
+				t.Fatalf("expected rotation, got %d segments", st.Segments)
+			}
+			got := collect(t, l)
+			if len(got) != 20 {
+				t.Fatalf("replayed %d records across segments, want 20", len(got))
+			}
+			for i, r := range got {
+				if r.Values[0] != float64(i) {
+					t.Fatalf("record %d out of order: %v", i, r.Values)
+				}
+			}
+			l.Close()
 
-	// Retention: cap at 2 segments and keep appending.
-	l2, err := Open(Options{Dir: dir, SegmentBytes: 64, MaxSegments: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	for i := 20; i < 40; i++ {
-		if err := l2.Append(1, "w", []float64{float64(i)}); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if st := l2.Stats(); st.Segments > 2 {
-		t.Fatalf("retention kept %d segments, cap 2", st.Segments)
-	}
-	got = collect(t, l2)
-	if len(got) == 0 || got[len(got)-1].Values[0] != 39 {
-		t.Fatalf("retained replay lost the newest records: %+v", got)
-	}
-	// The retained records must be a contiguous suffix.
-	for i := 1; i < len(got); i++ {
-		if got[i].Values[0] != got[i-1].Values[0]+1 {
-			t.Fatalf("retained replay has a hole at %d: %v then %v", i, got[i-1].Values, got[i].Values)
-		}
+			// Retention: cap at 2 segments and keep appending.
+			l2, err := Open(Options{Dir: dir, SegmentBytes: 64, MaxSegments: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			appendRuns(t, l2, seqRecords(20, 40), c.n)
+			if st := l2.Stats(); st.Segments > 2 {
+				t.Fatalf("retention kept %d segments, cap 2", st.Segments)
+			}
+			got = collect(t, l2)
+			if len(got) == 0 || got[len(got)-1].Values[0] != 39 {
+				t.Fatalf("retained replay lost the newest records: %+v", got)
+			}
+			// The retained records must be a contiguous suffix.
+			for i := 1; i < len(got); i++ {
+				if got[i].Values[0] != got[i-1].Values[0]+1 {
+					t.Fatalf("retained replay has a hole at %d: %v then %v", i, got[i-1].Values, got[i].Values)
+				}
+			}
+
+			// A run never splits across segments.
+			dir = t.TempDir()
+			l3, err := Open(Options{Dir: dir, SegmentBytes: 96})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pad := Record{Kind: 1, Workload: "pad", Values: []float64{1, 2, 3, 4}}
+			if err := l3.Append(pad); err != nil {
+				t.Fatal(err)
+			}
+			run := []Record{
+				{Kind: 1, Workload: "a", Values: []float64{1, 2, 3}},
+				{Kind: 1, Workload: "b", Values: []float64{4, 5, 6}},
+			}
+			appendRuns(t, l3, run, c.n)
+			if st := l3.Stats(); st.Segments != 2 {
+				t.Fatalf("Segments = %d, want 2 after rotation", st.Segments)
+			}
+			if err := l3.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "0000000000000001.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first int
+			if _, err := scanFrames(data[len(segmentMagic):], func([]byte) error { first++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if first != c.firstSegRecords {
+				t.Fatalf("first segment holds %d records, want %d", first, c.firstSegRecords)
+			}
+			l4, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l4.Close()
+			if got, want := collect(t, l4), append([]Record{pad}, run...); !sameRecords(got, want) {
+				t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -174,7 +262,7 @@ func TestTornTailMatrix(t *testing.T) {
 	total := 0
 	for i := 0; i < 5; i++ {
 		vals := []float64{float64(i), float64(i) * 2}
-		if err := l.Append(1, "wl", vals); err != nil {
+		if err := l.Append(Record{Kind: 1, Workload: "wl", Values: vals}); err != nil {
 			t.Fatal(err)
 		}
 		total += frameHeaderLen + payloadHeaderLen + 2 + 2*8
@@ -211,7 +299,7 @@ func TestTornTailMatrix(t *testing.T) {
 			t.Fatalf("cut=%d: replayed %d records, want %d", cut, len(got), want)
 		}
 		// The log must accept appends after any recovery.
-		if err := lr.Append(2, "post", []float64{99}); err != nil {
+		if err := lr.Append(Record{Kind: 2, Workload: "post", Values: []float64{99}}); err != nil {
 			t.Fatalf("cut=%d: append after recovery: %v", cut, err)
 		}
 		after := collect(t, lr)
@@ -231,7 +319,7 @@ func TestGarbageTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(1, "w", []float64{float64(i)}); err != nil {
+		if err := l.Append(Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +352,7 @@ func TestMiddleSegmentCorruptionFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := l.Append(1, "w", []float64{float64(i)}); err != nil {
+		if err := l.Append(Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +390,7 @@ func TestBadMagicFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(1, "w", []float64{1})
+	l.Append(Record{Kind: 1, Workload: "w", Values: []float64{1}})
 	l.Close()
 	path := filepath.Join(dir, "0000000000000001.wal")
 	data, _ := os.ReadFile(path)
@@ -320,7 +408,7 @@ func TestReplayCallbackErrorAborts(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		l.Append(1, "w", []float64{float64(i)})
+		l.Append(Record{Kind: 1, Workload: "w", Values: []float64{float64(i)}})
 	}
 	boom := errors.New("boom")
 	n := 0
@@ -398,7 +486,7 @@ func TestConcurrentObserveRotateReplay(t *testing.T) {
 			defer wg.Done()
 			id := string(rune('a' + w))
 			for i := 0; i < perWriter; i++ {
-				if err := l.Append(1, id, []float64{float64(i)}); err != nil {
+				if err := l.Append(Record{Kind: 1, Workload: id, Values: []float64{float64(i)}}); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -434,107 +522,5 @@ func TestConcurrentObserveRotateReplay(t *testing.T) {
 		if n := counts[string(rune('a'+w))]; n != perWriter {
 			t.Fatalf("writer %d: %d records survived, want %d", w, n, perWriter)
 		}
-	}
-}
-
-func TestAppendBatchRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := []Record{
-		{Kind: 1, Workload: "api", Values: []float64{1, 2}},
-		{Kind: 2, Workload: "batch", Values: []float64{3}},
-		{Kind: 1, Workload: "api", Values: []float64{4, 5, 6}},
-	}
-	if err := l.AppendBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-	if err := l.Append(3, "api", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendBatch(batch); err != nil {
-		t.Fatalf("AppendBatch: %v", err)
-	}
-	if err := l.Append(1, "tail", []float64{9}); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Appended != int64(len(batch))+2 {
-		t.Fatalf("Appended = %d, want %d", st.Appended, len(batch)+2)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	got := collect(t, l2)
-	want := append([]Record{{Kind: 3, Workload: "api", Values: []float64{}}}, batch...)
-	want = append(want, Record{Kind: 1, Workload: "tail", Values: []float64{9}})
-	got[0].Values = append([]float64{}, got[0].Values...)
-	if !sameRecords(got, want) {
-		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestAppendBatchRotation(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, SegmentBytes: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill most of the first segment, then batch past the cap: the batch
-	// must land whole in a fresh segment, never split across two.
-	if err := l.Append(1, "pad", []float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	batch := []Record{
-		{Kind: 1, Workload: "a", Values: []float64{1, 2, 3}},
-		{Kind: 1, Workload: "b", Values: []float64{4, 5, 6}},
-	}
-	if err := l.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Segments != 2 {
-		t.Fatalf("Segments = %d, want 2 after batch rotation", st.Segments)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	got := collect(t, l2)
-	want := append([]Record{{Kind: 1, Workload: "pad", Values: []float64{1, 2, 3, 4}}}, batch...)
-	if !sameRecords(got, want) {
-		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestAppendBatchValidation(t *testing.T) {
-	l, err := Open(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	bad := []Record{
-		{Kind: 1, Workload: "ok", Values: []float64{1}},
-		{Kind: 1, Workload: "", Values: []float64{2}},
-	}
-	if err := l.AppendBatch(bad); err == nil {
-		t.Fatal("batch with empty workload accepted")
-	}
-	// A rejected batch writes nothing and does not latch.
-	if err := l.AppendBatch([]Record{{Kind: 1, Workload: "ok", Values: []float64{3}}}); err != nil {
-		t.Fatalf("valid batch after validation error: %v", err)
-	}
-	if st := l.Stats(); st.Appended != 1 {
-		t.Fatalf("Appended = %d after rejected batch, want 1", st.Appended)
 	}
 }

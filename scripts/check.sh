@@ -23,7 +23,7 @@ GP_COVER_FLOOR=85
 CORE_COVER_FLOOR=80
 OBS_COVER_FLOOR=80
 FLEET_COVER_FLOOR=80
-WAL_COVER_FLOOR=80
+WAL_COVER_FLOOR=81
 SERVE_COVER_FLOOR=80
 LOADGEN_COVER_FLOOR=80
 PROFILE_COVER_FLOOR=80
