@@ -23,30 +23,48 @@ type Model struct {
 	net    *nn.LSTM
 	scaler timeseries.Scaler
 
-	// scratch pools stepScratch buffers so PredictStepsInto — the serving
-	// hot path — is allocation-free in steady state.
+	// scratch pools forecastScratch buffers so PredictStepsInto and
+	// PredictStepsBatchInto — the serving hot paths — are allocation-free
+	// in steady state.
 	scratch sync.Pool
 }
 
-// stepScratch is the fixed-size working set of one iterated forecast: the
-// rolling raw window and its scaled image, both exactly HistoryLen long.
-type stepScratch struct {
-	window, scaled []float64
+// forecastScratch is the working set of iterated forecasts. scaled holds,
+// per history, its scaled window followed by its scaled forecasts as they
+// are fed back: step s reads the HistoryLen values starting at s, so each
+// value is transformed once and nothing is shifted. The batch path also
+// keeps each history's region (wins), the rows of the current fused pass
+// and which histories they belong to (rows, active), and its predictions.
+type forecastScratch struct {
+	scaled []float64
+	wins   [][]float64
+	rows   [][]float64
+	preds  []float64
+	active []int
 }
 
-// getScratch checks a scratch out of the pool, allocating on first use (or
-// if a stale differently-sized buffer surfaces, which cannot happen for a
-// single model but keeps the invariant local).
-func (m *Model) getScratch() *stepScratch {
-	if v := m.scratch.Get(); v != nil {
-		if sc := v.(*stepScratch); len(sc.window) == m.HP.HistoryLen {
-			return sc
-		}
+// getScratch checks a scratch out of the pool, sized for values scaled
+// values over rows histories; buffers grow on first use and are reused
+// afterwards.
+func (m *Model) getScratch(rows, values int) *forecastScratch {
+	sc, _ := m.scratch.Get().(*forecastScratch)
+	if sc == nil {
+		sc = new(forecastScratch)
 	}
-	return &stepScratch{
-		window: make([]float64, m.HP.HistoryLen),
-		scaled: make([]float64, m.HP.HistoryLen),
+	sc.scaled = grow(sc.scaled, values)
+	sc.wins = grow(sc.wins, rows)
+	sc.rows = grow(sc.rows, rows)
+	sc.preds = grow(sc.preds, rows)
+	sc.active = grow(sc.active, rows)
+	return sc
+}
+
+// grow returns s resliced to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // Name implements predictors.Predictor.
@@ -72,11 +90,7 @@ func (m *Model) Predict(history []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := m.scaler.Inverse(p)
-	if v < 0 {
-		v = 0
-	}
-	return v, nil
+	return m.inverse(p), nil
 }
 
 // PredictSteps produces an iterated multi-step forecast: the next `steps`
@@ -103,12 +117,12 @@ func (m *Model) PredictStepsContext(ctx context.Context, history []float64, step
 }
 
 // PredictStepsInto is the allocation-free iterated forecast: len(out) steps
-// are written into out, each fed back as history for the next. The rolling
-// window and its scaled image come from a per-model pool, and the network
-// runs on its pooled streaming workspace, so steady-state forecasts allocate
-// nothing. Results are bit-identical to PredictStepsContext (which now wraps
-// this), because the rolling window holds exactly the last HistoryLen values
-// the old append-and-trim path would have passed to Predict.
+// are written into out, each fed back as history for the next. The scaled
+// window comes from a per-model pool, and the network runs on its pooled
+// streaming workspace, so steady-state forecasts allocate nothing. Results
+// are bit-identical to PredictStepsContext (which wraps this), because
+// step i reads exactly the scaled images of the last HistoryLen values of
+// history ++ out[:i], and Transform is a pure function of its value.
 func (m *Model) PredictStepsInto(ctx context.Context, history []float64, out []float64) error {
 	if len(out) == 0 {
 		return fmt.Errorf("core: steps must be positive, got %d", len(out))
@@ -120,106 +134,123 @@ func (m *Model) PredictStepsInto(ctx context.Context, history []float64, out []f
 	if len(history) < hl {
 		return fmt.Errorf("core: multi-step forecast at t+1: core: need %d recent values, got %d", hl, len(history))
 	}
-	sc := m.getScratch()
+	sc := m.getScratch(0, hl+len(out))
 	defer m.scratch.Put(sc)
-	copy(sc.window, history[len(history)-hl:])
+	w := sc.scaled
+	for j, v := range history[len(history)-hl:] {
+		w[j] = m.scaler.Transform(v)
+	}
 	for i := range out {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: multi-step forecast interrupted at t+%d: %w", i+1, err)
 		}
-		for j, v := range sc.window {
-			sc.scaled[j] = m.scaler.Transform(v)
-		}
-		p, err := m.net.Predict(sc.scaled)
+		p, err := m.net.Predict(w[i : i+hl])
 		if err != nil {
 			return fmt.Errorf("core: multi-step forecast at t+%d: %w", i+1, err)
 		}
-		v := m.scaler.Inverse(p)
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
-		copy(sc.window, sc.window[1:])
-		sc.window[hl-1] = v
+		out[i] = m.inverse(p)
+		w[i+hl] = m.scaler.Transform(out[i])
 	}
 	return nil
 }
 
+// inverse maps a network output back to the raw domain, clamped at zero.
+func (m *Model) inverse(p float64) float64 {
+	v := m.scaler.Inverse(p)
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
 // PredictStepsBatch runs iterated forecasts for many histories against the
-// same model, fusing each forecast step across the batch into one
-// PredictBatchInto call — the fan-in behind POST /v1/forecast:batch.
-// steps[i] is entry i's horizon; entries drop out of the fused batch as
-// their horizons are exhausted. Every row is bit-identical to predicting
-// that history alone with PredictStepsContext, because each row of the
-// batched network pass depends only on its own inputs.
+// same model — the fan-in behind POST /v1/forecast:batch. steps[i] is entry
+// i's horizon. It allocates the horizons and wraps PredictStepsBatchInto.
 func (m *Model) PredictStepsBatch(ctx context.Context, histories [][]float64, steps []int) ([][]float64, error) {
 	if len(histories) != len(steps) {
 		return nil, fmt.Errorf("core: batch mismatch: %d histories, %d step counts", len(histories), len(steps))
 	}
+	total := 0
+	for _, s := range steps {
+		if s <= 0 {
+			return nil, fmt.Errorf("core: steps must be positive, got %d", s)
+		}
+		total += s
+	}
+	backing := make([]float64, total)
+	outs := make([][]float64, len(steps))
+	for i, s := range steps {
+		outs[i], backing = backing[:s:s], backing[s:]
+	}
+	if err := m.PredictStepsBatchInto(ctx, histories, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// PredictStepsBatchInto writes len(outs[i]) iterated forecast steps for
+// histories[i] into the caller-owned outs[i], fusing each forecast step
+// across the batch into one PredictBatchInto call; entries drop out of the
+// fused batch as their horizons are exhausted. Its working set comes from
+// the model's scratch pool, so steady-state batches allocate nothing.
+// Every row is bit-identical to predicting that history alone with
+// PredictStepsInto, because each row of the batched network pass depends
+// only on its own inputs.
+func (m *Model) PredictStepsBatchInto(ctx context.Context, histories, outs [][]float64) error {
+	if len(histories) != len(outs) {
+		return fmt.Errorf("core: batch mismatch: %d histories, %d step counts", len(histories), len(outs))
+	}
 	if len(histories) == 0 {
-		return nil, fmt.Errorf("core: empty forecast batch")
+		return fmt.Errorf("core: empty forecast batch")
 	}
 	if m.net == nil {
-		return nil, fmt.Errorf("core: model not trained")
+		return fmt.Errorf("core: model not trained")
 	}
 	hl := m.HP.HistoryLen
-	maxSteps := 0
+	maxSteps, values := 0, 0
 	for i, h := range histories {
-		if steps[i] <= 0 {
-			return nil, fmt.Errorf("core: steps must be positive, got %d", steps[i])
+		if len(outs[i]) == 0 {
+			return fmt.Errorf("core: steps must be positive, got 0")
 		}
 		if len(h) < hl {
-			return nil, fmt.Errorf("core: need %d recent values, got %d", hl, len(h))
+			return fmt.Errorf("core: need %d recent values, got %d", hl, len(h))
 		}
-		if steps[i] > maxSteps {
-			maxSteps = steps[i]
-		}
+		maxSteps = max(maxSteps, len(outs[i]))
+		values += hl + len(outs[i])
 	}
 
-	n := len(histories)
-	out := make([][]float64, n)
-	windows := make([][]float64, n)
-	backing := make([]float64, 2*n*hl)
+	sc := m.getScratch(len(histories), values)
+	defer m.scratch.Put(sc)
+	rest := sc.scaled
 	for i, h := range histories {
-		out[i] = make([]float64, steps[i])
-		w := backing[i*hl : (i+1)*hl : (i+1)*hl]
-		copy(w, h[len(h)-hl:])
-		windows[i] = w
+		w := rest[:hl+len(outs[i])]
+		rest = rest[len(w):]
+		for j, v := range h[len(h)-hl:] {
+			w[j] = m.scaler.Transform(v)
+		}
+		sc.wins[i] = w
 	}
-	scaledBacking := backing[n*hl:]
-	scaled := make([][]float64, 0, n)
-	preds := make([]float64, n)
-	active := make([]int, 0, n)
 	for s := 0; s < maxSteps; s++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: multi-step forecast interrupted at t+%d: %w", s+1, err)
+			return fmt.Errorf("core: multi-step forecast interrupted at t+%d: %w", s+1, err)
 		}
-		scaled, active = scaled[:0], active[:0]
-		for i := range histories {
-			if steps[i] <= s {
-				continue
+		rows, active := sc.rows[:0], sc.active[:0]
+		for i, out := range outs {
+			if s < len(out) {
+				rows = append(rows, sc.wins[i][s:s+hl])
+				active = append(active, i)
 			}
-			buf := scaledBacking[len(active)*hl : (len(active)+1)*hl : (len(active)+1)*hl]
-			for j, v := range windows[i] {
-				buf[j] = m.scaler.Transform(v)
-			}
-			scaled = append(scaled, buf)
-			active = append(active, i)
 		}
-		if err := m.net.PredictBatchInto(scaled, preds[:len(active)]); err != nil {
-			return nil, fmt.Errorf("core: multi-step forecast at t+%d: %w", s+1, err)
+		preds := sc.preds[:len(active)]
+		if err := m.net.PredictBatchInto(rows, preds); err != nil {
+			return fmt.Errorf("core: multi-step forecast at t+%d: %w", s+1, err)
 		}
 		for k, i := range active {
-			v := m.scaler.Inverse(preds[k])
-			if v < 0 {
-				v = 0
-			}
-			out[i][s] = v
-			copy(windows[i], windows[i][1:])
-			windows[i][hl-1] = v
+			outs[i][s] = m.inverse(preds[k])
+			sc.wins[i][s+hl] = m.scaler.Transform(outs[i][s])
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // PredictHorizon produces one-step forecasts for every element of horizon
@@ -253,11 +284,7 @@ func (m *Model) PredictHorizon(ctx, horizon []float64) ([]float64, error) {
 	}
 	out := make([]float64, len(preds))
 	for i, p := range preds {
-		v := m.scaler.Inverse(p)
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
+		out[i] = m.inverse(p)
 	}
 	return out, nil
 }

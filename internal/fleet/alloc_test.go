@@ -64,6 +64,19 @@ func TestForecastUncachedZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestForecastBatchZeroAlloc pins the BenchmarkForecastBatch path: a
+// 16-entry fused batch forecast into caller-owned horizons.
+func TestForecastBatchZeroAlloc(t *testing.T) {
+	m := tinyModel(t, 1)
+	histories, outs := forecastBatch()
+	ctx := context.Background()
+	zeroAllocs(t, "fused batch forecast", func() {
+		if err := m.PredictStepsBatchInto(ctx, histories, outs); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // walFleet is a one-workload fleet logging observations to an unsynced
 // WAL, with ingest shaped like BenchmarkStreamIngestWAL.
 func walFleet(t *testing.T) *Fleet {
@@ -143,9 +156,9 @@ func TestObservePathZeroAlloc(t *testing.T) {
 func TestCacheHitZeroAlloc(t *testing.T) {
 	c := NewForecastCache(time.Hour, 64, obs.NewRegistry())
 	window := []float64{100, 104, 99, 107}
-	c.Put("w", 1, window, 3, CachedForecast{Forecasts: []float64{101, 102, 103}})
+	c.Put("w", 1, window, CachedForecast{Forecasts: []float64{101, 102, 103}})
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := c.Get("w", 1, window, 3); !ok {
+		if _, _, ok := c.Get("w", 1, window, 3); !ok {
 			t.Fatal("cache miss")
 		}
 	})

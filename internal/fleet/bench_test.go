@@ -83,32 +83,40 @@ func BenchmarkForecastUncached(b *testing.B) {
 func BenchmarkForecastCached(b *testing.B) {
 	c := NewForecastCache(time.Hour, 1024, obs.NewRegistry())
 	window := []float64{100, 104, 99, 107}
-	c.Put("w", 1, window, 3, CachedForecast{Forecasts: []float64{101, 102, 103}})
+	c.Put("w", 1, window, CachedForecast{Forecasts: []float64{101, 102, 103}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get("w", 1, window, 3); !ok {
+		if _, _, ok := c.Get("w", 1, window, 3); !ok {
 			b.Fatal("cache miss")
 		}
 	}
 }
 
-// BenchmarkForecastBatch runs 16 workload forecasts as one fused
-// multi-step batch inference (the /v1/forecast:batch inner loop).
-func BenchmarkForecastBatch(b *testing.B) {
-	m := tinyModel(b, 1)
+// forecastBatch is BenchmarkForecastBatch's input: 16 workload histories
+// and their caller-owned 3-step horizons.
+func forecastBatch() (histories, outs [][]float64) {
 	const n = 16
-	histories := make([][]float64, n)
-	steps := make([]int, n)
+	histories = make([][]float64, n)
+	outs = make([][]float64, n)
 	for i := range histories {
 		histories[i] = []float64{100 + float64(i), 104, 99, 107, 101, 103}
-		steps[i] = 3
+		outs[i] = make([]float64, 3)
 	}
+	return histories, outs
+}
+
+// BenchmarkForecastBatch runs 16 workload forecasts as one fused
+// multi-step batch inference (the /v1/forecast:batch inner loop) into
+// caller-owned horizons.
+func BenchmarkForecastBatch(b *testing.B) {
+	m := tinyModel(b, 1)
+	histories, outs := forecastBatch()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictStepsBatch(ctx, histories, steps); err != nil {
+		if err := m.PredictStepsBatchInto(ctx, histories, outs); err != nil {
 			b.Fatal(err)
 		}
 	}

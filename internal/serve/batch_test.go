@@ -316,6 +316,103 @@ func TestForecastCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestCachedHorizonIsContinued runs the real model with the cache on: a
+// 12-step forecast on the window a 4-step single forecast just cached runs
+// the model only for the 8 steps past it, from window ++ those 4 values,
+// through forecast:batch and the single endpoint alike, and both serve
+// bytes identical to an uncached 12-step forecast. A later 4-step single is
+// then a prefix hit of the 12-step entry.
+func TestCachedHorizonIsContinued(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts, srv, m, series := newTestServerOpts(t, Options{ForecastCacheTTL: time.Minute, Metrics: reg})
+	var mu sync.Mutex
+	var seen [][2]int // (history length, steps) of every model call
+	note := func(history []float64, steps int) {
+		mu.Lock()
+		seen = append(seen, [2]int{len(history), steps})
+		mu.Unlock()
+	}
+	calls := func() [][2]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([][2]int(nil), seen...)
+	}
+	predict, predictBatch := srv.predict, srv.predictBatch
+	srv.predict = func(ctx context.Context, mm *core.Model, history []float64, steps int) ([]float64, error) {
+		note(history, steps)
+		return predict(ctx, mm, history, steps)
+	}
+	srv.predictBatch = func(ctx context.Context, mm *core.Model, histories [][]float64, steps []int) ([][]float64, error) {
+		for i := range histories {
+			note(histories[i], steps[i])
+		}
+		return predictBatch(ctx, mm, histories, steps)
+	}
+	hl := m.HP.HistoryLen
+	continued := [2]int{hl + 4, 8}
+
+	for _, via := range []string{"forecast:batch", "forecast"} {
+		history := series[:60]
+		if via == "forecast" {
+			history = series[100:160]
+		}
+		want, err := m.PredictSteps(history, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		resp, first := postForecast(t, ts.URL, ForecastRequest{History: history, Steps: 4})
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Forecast-Cache") != "miss" {
+			t.Fatalf("%s: 4-step single: status %d cache %q", via, resp.StatusCode, resp.Header.Get("X-Forecast-Cache"))
+		}
+		assertSameBits(t, via+": 4-step single", first.Forecasts, want[:4])
+
+		var got []float64
+		if via == "forecast:batch" {
+			_, bout := postBatch(t, ts.URL, BatchForecastRequest{Entries: []BatchForecastEntry{
+				{Workload: testWorkload, History: history, Steps: 12},
+			}})
+			if bout.Results[0].Error != "" {
+				t.Fatalf("batch entry error: %s", bout.Results[0].Error)
+			}
+			got = bout.Results[0].Forecasts
+		} else {
+			resp, out := postForecast(t, ts.URL, ForecastRequest{History: history, Steps: 12})
+			if resp.Header.Get("X-Forecast-Cache") != "miss" {
+				t.Fatalf("continued single cache header %q, want miss", resp.Header.Get("X-Forecast-Cache"))
+			}
+			got = out.Forecasts
+		}
+		assertSameBits(t, via+": continued 12-step", got, want)
+		if c := calls(); len(c) != 2 || c[1] != continued {
+			t.Fatalf("%s: model calls (history len, steps) = %v, want the continuation %v last", via, c, continued)
+		}
+
+		resp, again := postForecast(t, ts.URL, ForecastRequest{History: history, Steps: 4})
+		if resp.Header.Get("X-Forecast-Cache") != "hit" {
+			t.Fatalf("%s: 4-step single after 12 steps: cache %q, want hit", via, resp.Header.Get("X-Forecast-Cache"))
+		}
+		assertSameBits(t, via+": 4-step prefix hit", again.Forecasts, want[:4])
+	}
+	if x := reg.Counter("fleet.cache.extend").Value(); x != 2 {
+		t.Fatalf("fleet.cache.extend = %d, want 2", x)
+	}
+}
+
+func assertSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d forecasts, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s t+%d: %v, want %v", what, i+1, got[i], want[i])
+		}
+	}
+}
+
 // TestConcurrentBatchCachePromotion is the -race workout: single and batch
 // forecasts race against promotions and observations with the cache enabled,
 // and every response must reflect a model at least as new as the last

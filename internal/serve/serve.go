@@ -858,8 +858,8 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request, id strin
 	// keys on exactly that window — a client shipping a longer history
 	// still hits.
 	window := req.History[len(req.History)-model.HP.HistoryLen:]
-	cf, hit, err := s.cache.Do(id, version, window, steps, func() (fleet.CachedForecast, error) {
-		return s.computeForecast(ctx, model, req.History, steps)
+	cf, hit, err := s.cache.Do(id, version, window, steps, func(prefix []float64) (fleet.CachedForecast, error) {
+		return s.computeForecast(ctx, model, window, prefix, steps)
 	})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -918,27 +918,50 @@ func (s *Server) checkForecastInput(history []float64, steps int) (int, string) 
 	return steps, ""
 }
 
-// computeForecast runs the model and applies the degraded last-value
-// fallback: a non-finite forecast would (best case) break the client's JSON
-// decoding and (worst case) drive scaling decisions from garbage, so the
-// naive last-value prediction is served instead, flagged so the auto-scaler
-// knows it is flying on instruments. The fallback depends only on the
-// history and steps, so degraded results are as cacheable as healthy ones.
-func (s *Server) computeForecast(ctx context.Context, model *core.Model, history []float64, steps int) (fleet.CachedForecast, error) {
-	forecasts, err := s.predict(ctx, model, history, steps)
+// computeForecast forecasts steps steps from window, continuing prefix —
+// a cached healthy horizon for the same window, possibly empty — so the
+// model runs only for the steps past it. The continuation forecasts from
+// window ++ prefix: an iterated forecast reads only its last HistoryLen
+// values, so the result is bit-identical to recomputing every step.
+func (s *Server) computeForecast(ctx context.Context, model *core.Model, window, prefix []float64, steps int) (fleet.CachedForecast, error) {
+	tail, err := s.predict(ctx, model, continuation(window, prefix), steps-len(prefix))
 	if err != nil {
 		return fleet.CachedForecast{}, err
 	}
-	if !allFinite(forecasts) {
+	return s.finishForecast(window, prefix, tail), nil
+}
+
+// continuation is the history a cached horizon prefix is continued from.
+func continuation(window, prefix []float64) []float64 {
+	if len(prefix) == 0 {
+		return window
+	}
+	return append(append(make([]float64, 0, len(window)+len(prefix)), window...), prefix...)
+}
+
+// finishForecast serves prefix ++ tail and applies the degraded last-value
+// fallback: a non-finite forecast would (best case) break the client's
+// JSON decoding and (worst case) drive scaling decisions from garbage, so
+// the naive last-value prediction is served instead, flagged so the
+// auto-scaler knows it is flying on instruments. A cached prefix is always
+// healthy, so only the tail needs checking. The fallback depends only on
+// the window and the horizon, so degraded results are as cacheable as
+// healthy ones.
+func (s *Server) finishForecast(window, prefix, tail []float64) fleet.CachedForecast {
+	steps := len(prefix) + len(tail)
+	if !allFinite(tail) {
 		s.m.degraded.Inc()
 		return fleet.CachedForecast{
-			Forecasts: lastValueForecast(history, steps),
+			Forecasts: lastValueForecast(window, steps),
 			Degraded:  true,
 			Fallback:  "last-value",
 			Reason:    "model emitted non-finite forecast values",
-		}, nil
+		}
 	}
-	return fleet.CachedForecast{Forecasts: forecasts}, nil
+	if len(prefix) == 0 {
+		return fleet.CachedForecast{Forecasts: tail}
+	}
+	return fleet.CachedForecast{Forecasts: append(append(make([]float64, 0, steps), prefix...), tail...)}
 }
 
 // BatchForecastRequest is the POST /v1/forecast:batch request body: many
@@ -987,12 +1010,18 @@ type BatchForecastResult struct {
 	Error     string    `json:"error,omitempty"`
 }
 
+// setForecast fills the result from a served forecast.
+func (r *BatchForecastResult) setForecast(cf fleet.CachedForecast) {
+	r.Forecasts, r.Degraded, r.Fallback, r.Reason = cf.Forecasts, cf.Degraded, cf.Fallback, cf.Reason
+}
+
 // handleForecastBatch serves POST /v1/forecast:batch. Entries are validated
 // individually (failures land in the entry's Error field), consulted against
 // the forecast cache, and the misses are grouped by model so every group
-// runs as ONE fused multi-step batch inference (core.PredictStepsBatch) —
-// the per-row results are bit-identical to the single-forecast path, so
-// clients may mix both endpoints freely.
+// runs as ONE fused multi-step batch inference (core.PredictStepsBatch); a
+// miss with a shorter cached horizon runs only the steps past it, as in
+// handleForecast. The per-row results are bit-identical to the
+// single-forecast path, so clients may mix both endpoints freely.
 func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -1033,6 +1062,8 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 	models := make(map[string]resolved, len(req.Entries))
 	results := make([]BatchForecastResult, len(req.Entries))
 	stepsOf := make([]int, len(req.Entries))
+	windows := make([][]float64, len(req.Entries))
+	prefixes := make([][]float64, len(req.Entries))
 	// groups collects cache-missing entry indices per distinct model.
 	groups := make(map[*core.Model][]int)
 	for i, e := range req.Entries {
@@ -1063,14 +1094,13 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 				len(e.History), res.model.HP.HistoryLen)
 			continue
 		}
-		window := e.History[len(e.History)-res.model.HP.HistoryLen:]
-		if cf, ok := s.cache.Get(e.Workload, res.version, window, steps); ok {
-			results[i].Forecasts = cf.Forecasts
-			results[i].Degraded = cf.Degraded
-			results[i].Fallback = cf.Fallback
-			results[i].Reason = cf.Reason
+		windows[i] = e.History[len(e.History)-res.model.HP.HistoryLen:]
+		cf, prefix, hit := s.cache.Get(e.Workload, res.version, windows[i], steps)
+		if hit {
+			results[i].setForecast(cf)
 			continue
 		}
+		prefixes[i] = prefix
 		groups[res.model] = append(groups[res.model], i)
 	}
 
@@ -1078,8 +1108,8 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 		histories := make([][]float64, len(idxs))
 		steps := make([]int, len(idxs))
 		for k, i := range idxs {
-			histories[k] = req.Entries[i].History
-			steps[k] = stepsOf[i]
+			histories[k] = continuation(windows[i], prefixes[i])
+			steps[k] = stepsOf[i] - len(prefixes[i])
 		}
 		outs, err := s.predictBatch(ctx, model, histories, steps)
 		if err != nil {
@@ -1097,24 +1127,10 @@ func (s *Server) handleForecastBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		for k, i := range idxs {
+			cf := s.finishForecast(windows[i], prefixes[i], outs[k])
 			e := req.Entries[i]
-			cf := fleet.CachedForecast{Forecasts: outs[k]}
-			if !allFinite(outs[k]) {
-				s.m.degraded.Inc()
-				cf = fleet.CachedForecast{
-					Forecasts: lastValueForecast(e.History, stepsOf[i]),
-					Degraded:  true,
-					Fallback:  "last-value",
-					Reason:    "model emitted non-finite forecast values",
-				}
-			}
-			res := models[e.Workload]
-			window := e.History[len(e.History)-res.model.HP.HistoryLen:]
-			s.cache.Put(e.Workload, res.version, window, stepsOf[i], cf)
-			results[i].Forecasts = cf.Forecasts
-			results[i].Degraded = cf.Degraded
-			results[i].Fallback = cf.Fallback
-			results[i].Reason = cf.Reason
+			s.cache.Put(e.Workload, models[e.Workload].version, windows[i], cf)
+			results[i].setForecast(cf)
 		}
 	}
 

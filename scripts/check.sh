@@ -8,10 +8,13 @@
 #   3. perfbench smoke tests: the benchmark harness is its own module
 #      (perfbench/go.mod) compiled against this checkout, so an API change
 #      that breaks it shows up here, not only in a benchmark run
-#   4. log hygiene: no package under internal/ may import the global "log"
+#   4. every benchmark under internal/ runs once, so a benchmark that fails
+#      at run time (say, after an API change it calls) breaks CI and not
+#      the next benchmarking session
+#   5. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
-#   5. gofmt: every Go file outside hidden directories is gofmt-clean
-#   6. coverage report for the network, search (BO and GP), observability,
+#   6. gofmt: every Go file outside hidden directories is gofmt-clean
+#   7. coverage report for the network, search (BO and GP), observability,
 #      framework, fleet, WAL, serving, loadgen and profile layers, with hard
 #      floors on every one of them
 set -euo pipefail
@@ -45,6 +48,9 @@ go test -run 'Fuzz' ./internal/core ./internal/serve ./internal/obs ./internal/w
 
 echo "== perfbench smoke tests =="
 (cd perfbench && GOWORK=off go test ./...)
+
+echo "== benchmarks, one iteration each =="
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "== log hygiene =="
 # Structured logging only: internal/ packages must use log/slog (wired via
