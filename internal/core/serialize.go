@@ -74,9 +74,18 @@ func (m *Model) SaveFile(path string) error {
 // parameters are rejected with a descriptive error rather than loading a
 // predictor that fails (or worse, emits poison forecasts) at predict time.
 func Load(r io.Reader) (*Model, error) {
-	var mf modelFile
-	if err := json.NewDecoder(r).Decode(&mf); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
+	}
+	return loadBytes(b)
+}
+
+// loadBytes decodes and validates one model document.
+func loadBytes(b []byte) (*Model, error) {
+	mf, err := decodeModel(b)
+	if err != nil {
+		return nil, err
 	}
 	if mf.Version != modelFileVersion {
 		return nil, fmt.Errorf("core: unsupported model file version %d (want %d)", mf.Version, modelFileVersion)
@@ -130,12 +139,33 @@ func Load(r io.Reader) (*Model, error) {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// LoadFile reads a model from a file written by SaveFile.
+// LoadFile reads a model from a file written by SaveFile, in one read
+// sized to the file.
 func LoadFile(path string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return Load(f)
+	b, err := readSized(f)
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding model: %w", err)
+	}
+	return loadBytes(b)
+}
+
+// readSized reads a regular file with one read into a buffer of the size
+// Stat reports; a file that shrank since is returned as far as it goes.
+// Anything else (a pipe, a file Stat cannot size) is read to EOF.
+func readSized(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() || fi.Size() == 0 {
+		return io.ReadAll(f)
+	}
+	b := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, b)
+	if err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return b[:n], err
 }

@@ -288,9 +288,11 @@ type metrics struct {
 	resident          *obs.Gauge
 	walDegraded       *obs.Gauge
 	walTruncated      *obs.Gauge
+	walReplayNs       *obs.Gauge
 	breakerOpen       *obs.Gauge
 	storeSize         *obs.Gauge
 	rebuildSeconds    *obs.Histogram
+	loadSeconds       *obs.Histogram
 	roundsToBest      *obs.Histogram
 }
 
@@ -328,9 +330,11 @@ func newMetrics(reg *obs.Registry) metrics {
 		resident:          reg.Gauge("fleet.resident"),
 		walDegraded:       reg.Gauge("fleet.wal.degraded"),
 		walTruncated:      reg.Gauge("fleet.wal.truncated_bytes"),
+		walReplayNs:       reg.Gauge("fleet.wal.replay_ns"),
 		breakerOpen:       reg.Gauge("fleet.rebuild.breaker_open"),
 		storeSize:         reg.Gauge("profile.store.size"),
 		rebuildSeconds:    reg.Histogram("fleet.rebuild_seconds"),
+		loadSeconds:       reg.Histogram("fleet.load_seconds"),
 		roundsToBest:      reg.Histogram("profile.rounds_to_best"),
 	}
 }
@@ -512,6 +516,10 @@ func Open(opts Options) (*Fleet, error) {
 	}
 	f.m.storeSize.Set(int64(f.priors.Len()))
 	if opts.WAL.Dir != "" {
+		// fleet.wal.replay_ns is the log's share of the restart: tail
+		// recovery plus replay. The gauge holds nanoseconds because gauges
+		// are integers; whole seconds would read 0 for most replays.
+		start := time.Now()
 		wl, err := wal.Open(opts.WAL)
 		if err != nil {
 			// An unopenable WAL is a boot-time configuration problem: fail
@@ -531,6 +539,7 @@ func Open(opts Options) (*Fleet, error) {
 			f.wal.Close()
 			f.degradeWAL("replay", "", err, obs.TraceCtx{})
 		}
+		f.m.walReplayNs.Set(int64(time.Since(start)))
 	}
 	return f, nil
 }
@@ -663,7 +672,7 @@ func (f *Fleet) load(e *entry) (*core.Model, error) {
 		f.m.loadFailures.Inc()
 		return nil, fmt.Errorf("fleet: workload %q has no model and no snapshot to load", e.id)
 	}
-	m, err := core.LoadFile(filepath.Join(f.opts.Dir, e.file))
+	m, err := f.loadSnapshot(e)
 	if err != nil {
 		f.m.loadFailures.Inc()
 		return nil, fmt.Errorf("fleet: loading workload %q: %w", e.id, err)
@@ -777,11 +786,21 @@ func (f *Fleet) ReloadWorkload(id string) error {
 	if e.file == "" || f.opts.Dir == "" {
 		return fmt.Errorf("fleet: workload %q has no snapshot to reload", id)
 	}
-	m, err := core.LoadFile(filepath.Join(f.opts.Dir, e.file))
+	m, err := f.loadSnapshot(e)
 	if err != nil {
 		return fmt.Errorf("fleet: reloading workload %q: %w", id, err)
 	}
 	return f.Promote(id, m)
+}
+
+// loadSnapshot reads the workload's snapshot file — a lazy load, an
+// eviction reload or a ReloadWorkload — and times the read and decode into
+// fleet.load_seconds, so the cost of a cold start shows without a trace.
+func (f *Fleet) loadSnapshot(e *entry) (*core.Model, error) {
+	start := time.Now()
+	m, err := core.LoadFile(filepath.Join(f.opts.Dir, e.file))
+	f.m.loadSeconds.Observe(time.Since(start).Seconds())
+	return m, err
 }
 
 // persistLocked writes the model snapshot and then the manifest (both

@@ -396,3 +396,64 @@ func TestConcurrentForecastObservePromoteEvict(t *testing.T) {
 		}
 	}
 }
+
+// TestColdStartMetrics checks the restart-cost metrics: fleet.load_seconds
+// observes every snapshot load — lazy load, eviction reload and
+// ReloadWorkload — and fleet.wal.replay_ns holds the time Open spent
+// recovering and replaying the WAL.
+func TestColdStartMetrics(t *testing.T) {
+	dir, walDir := t.TempDir(), t.TempDir()
+	f, err := Open(walOptions(testOptions(t, dir), walDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"a", "b"} {
+		if err := f.Add(id, tinyModel(t, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Observe(id, []float64{100, 101, 102}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.opts.Metrics.Histogram("fleet.load_seconds").Count(); got != 0 {
+		t.Fatalf("load_seconds count %d after Add alone, want 0", got)
+	}
+	f.Close()
+
+	opts := walOptions(testOptions(t, dir), walDir)
+	opts.ResidentCap = 1
+	f, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reg := opts.Metrics
+	if got := reg.Gauge("fleet.wal.replay_ns").Value(); got <= 0 {
+		t.Fatalf("fleet.wal.replay_ns = %d after replaying %d records, want > 0",
+			got, reg.Counter("fleet.wal.replayed").Value())
+	}
+	loads := reg.Histogram("fleet.load_seconds")
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"lazy load of a", func() error { _, err := f.Model("a"); return err }},
+		{"lazy load of b, evicting a", func() error { _, err := f.Model("b"); return err }},
+		{"eviction reload of a", func() error { _, err := f.Model("a"); return err }},
+		{"ReloadWorkload of b", func() error { return f.ReloadWorkload("b") }},
+	}
+	for i, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := loads.Count(); got != int64(i+1) {
+			t.Fatalf("after %s: load_seconds count %d, want %d", s.name, got, i+1)
+		}
+	}
+	if _, err := f.Model("b"); err != nil { // resident after the reload: a hit
+		t.Fatal(err)
+	}
+	if got := loads.Count(); got != int64(len(steps)) || loads.Sum() <= 0 {
+		t.Fatalf("load_seconds count %d sum %v after a hit, want %d and > 0", got, loads.Sum(), len(steps))
+	}
+}

@@ -189,7 +189,7 @@ func (l *Log) recoverTail(seq int64) error {
 	if err != nil {
 		return fmt.Errorf("wal: opening tail segment: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readSegmentFile(f)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("wal: reading tail segment %s: %w", path, err)
@@ -218,7 +218,7 @@ func (l *Log) recoverTail(seq int64) error {
 		l.stats.TruncatedBytes += int64(len(data)) - valid
 	}
 	if valid == 0 {
-		// ReadAll left the offset at the old EOF; the header goes at 0.
+		// The read left the offset at the old EOF; the header goes at 0.
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			f.Close()
 			return fmt.Errorf("wal: rewinding %s: %w", path, err)
@@ -419,7 +419,7 @@ func (l *Log) readSegmentLocked(seq int64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening segment %d: %w", seq, err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readSegmentFile(f)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading segment %d: %w", seq, err)
@@ -428,6 +428,27 @@ func (l *Log) readSegmentLocked(seq int64) ([]byte, error) {
 		return nil, fmt.Errorf("wal: segment %s has an unrecognized header", path)
 	}
 	return data[len(segmentMagic):], nil
+}
+
+// readSegmentFile reads a whole segment with one read into a buffer sized
+// to the file (found by seeking to its end), rather than growing a buffer
+// chunk by chunk: recovery and replay each read segments of tens of MiB.
+// A file that shrank since the seek is returned as far as it goes; the
+// offset is left at the end of what was read.
+func readSegmentFile(f File) ([]byte, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return data[:n], err
 }
 
 // Err returns the latched I/O failure, nil while the log is healthy.
