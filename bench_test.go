@@ -10,6 +10,7 @@ package loaddynamics
 // table.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -376,7 +377,7 @@ func BenchmarkBOMinimize(b *testing.B) {
 				opt.Seed = 42
 				opt.Candidates = 64
 				opt.Parallel = par
-				if _, err := bo.Minimize(space, obj, opt); err != nil {
+				if _, err := bo.MinimizeContext(context.Background(), space, obj, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,10 @@
 // Adaptive: the "Online Adaptive Modeling" extension sketched in the
 // paper's Section V. A static LoadDynamics model degrades when the workload
-// shifts to a pattern absent from its training data; the adaptive wrapper
+// shifts to a pattern absent from its training data; the adaptive model
 // watches the rolling prediction error and re-runs the optimization
-// workflow on recent data when drift is detected.
+// workflow on recent data when drift is detected. It runs on the fleet's
+// loop — the evaluator, drift rule and rebuild path the server runs — with
+// each rebuild completing inside the Predict call that queued it.
 //
 // The example streams a workload that abruptly changes pattern (level,
 // amplitude and period all shift) and prints the rolling error of a static
@@ -19,6 +21,7 @@ import (
 	"math"
 
 	"loaddynamics/internal/core"
+	"loaddynamics/internal/fleet"
 )
 
 func main() {
@@ -55,12 +58,17 @@ func main() {
 	}
 	static := staticRes.Best
 
-	// Adaptive model: same initial build, plus drift detection.
-	acfg := core.DefaultAdaptiveConfig(fw)
-	acfg.DriftWindow = 10
-	acfg.MinErrorFloor = 12
-	acfg.HistoryCap = 150
-	adaptive, err := core.NewAdaptive(acfg, series[:180], series[180:230])
+	// Adaptive model: the same initial model on a one-workload fleet, plus
+	// drift detection and rebuilds over the trailing 150 intervals.
+	adaptive, err := fleet.NewAdaptive(fleet.Options{
+		Window:            10,
+		MinSamples:        10,
+		DriftFactor:       2.5,
+		DriftThreshold:    12,
+		HistoryCap:        150,
+		MinRebuildHistory: 64,
+		Build:             fw,
+	}, static, series[:230])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +95,7 @@ func main() {
 		}
 		sErr = append(sErr, 100*math.Abs((sp-actual)/actual))
 		aErr = append(aErr, 100*math.Abs((ap-actual)/actual))
-		if _, err := adaptive.Observe(actual); err != nil {
+		if err := adaptive.Observe(actual); err != nil {
 			log.Fatal(err)
 		}
 		known = append(known, actual)

@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestMinimizeRejectsUnknownAcquisition(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxIters = 3
 	opt.Acq = Acquisition(7)
-	if _, err := Minimize(testSpace(), quadObj, opt); err == nil {
+	if _, err := MinimizeContext(context.Background(), testSpace(), quadObj, opt); err == nil {
 		t.Fatal("expected error for unknown acquisition")
 	}
 }
@@ -67,7 +68,7 @@ func TestAllAcquisitionsFindGoodPoints(t *testing.T) {
 		opt.InitPoints = 8
 		opt.Seed = 11
 		opt.Acq = acq
-		res, err := Minimize(testSpace(), quadObj, opt)
+		res, err := MinimizeContext(context.Background(), testSpace(), quadObj, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", acq, err)
 		}

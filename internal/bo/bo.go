@@ -241,14 +241,10 @@ func DefaultOptions() Options {
 	return Options{MaxIters: 100, InitPoints: 8, Candidates: 512, Noise: 1e-4, Parallel: 1}
 }
 
-// Minimize runs Bayesian Optimization and returns the best point found.
-func Minimize(space Space, obj Objective, opt Options) (*Result, error) {
-	return MinimizeContext(context.Background(), space, obj, opt)
-}
-
-// MinimizeContext is Minimize honoring cancellation and deadlines. The
-// context is checked between objective evaluations (serial mode) or between
-// proposal rounds (batched mode); in-flight evaluations run to completion.
+// MinimizeContext runs Bayesian Optimization and returns the best point
+// found, honoring cancellation and deadlines. The context is checked
+// between objective evaluations (serial mode) or between proposal rounds
+// (batched mode); in-flight evaluations run to completion.
 // On cancellation it returns the partial Result — every completed evaluation
 // is in History — together with an error wrapping ctx.Err(), so callers can
 // checkpoint progress before bailing out.

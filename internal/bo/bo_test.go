@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -106,7 +107,7 @@ func TestMinimizeFindsGoodPoint(t *testing.T) {
 	opt.MaxIters = 40
 	opt.InitPoints = 8
 	opt.Seed = 3
-	res, err := Minimize(testSpace(), quadObj, opt)
+	res, err := MinimizeContext(context.Background(), testSpace(), quadObj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestMinimizeCompetitiveWithRandom(t *testing.T) {
 		opt.MaxIters = 40
 		opt.InitPoints = 10
 		opt.Seed = seed
-		boRes, err := Minimize(s, obj, opt)
+		boRes, err := MinimizeContext(context.Background(), s, obj, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsRes, err := RandomSearch(s, obj, 40, seed+1000)
+		rsRes, err := RandomSearchContext(context.Background(), s, obj, 40, seed+1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestMinimizeHandlesFailingEvaluations(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxIters = 20
 	opt.InitPoints = 5
-	res, err := Minimize(testSpace(), obj, opt)
+	res, err := MinimizeContext(context.Background(), testSpace(), obj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,21 +194,21 @@ func TestMinimizeAllFailuresErrors(t *testing.T) {
 	obj := func([]int) (float64, error) { return 0, errors.New("always fails") }
 	opt := DefaultOptions()
 	opt.MaxIters = 5
-	if _, err := Minimize(testSpace(), obj, opt); err == nil {
+	if _, err := MinimizeContext(context.Background(), testSpace(), obj, opt); err == nil {
 		t.Fatal("expected error when every evaluation fails")
 	}
 }
 
 func TestMinimizeValidation(t *testing.T) {
 	opt := DefaultOptions()
-	if _, err := Minimize(Space{}, quadObj, opt); err == nil {
+	if _, err := MinimizeContext(context.Background(), Space{}, quadObj, opt); err == nil {
 		t.Fatal("expected error for empty space")
 	}
-	if _, err := Minimize(testSpace(), nil, opt); err == nil {
+	if _, err := MinimizeContext(context.Background(), testSpace(), nil, opt); err == nil {
 		t.Fatal("expected error for nil objective")
 	}
 	opt.MaxIters = 0
-	if _, err := Minimize(testSpace(), quadObj, opt); err == nil {
+	if _, err := MinimizeContext(context.Background(), testSpace(), quadObj, opt); err == nil {
 		t.Fatal("expected error for zero iterations")
 	}
 }
@@ -222,7 +223,7 @@ func TestMinimizeParallelInitMatchesBudget(t *testing.T) {
 	opt.MaxIters = 16
 	opt.InitPoints = 8
 	opt.Parallel = 4
-	res, err := Minimize(testSpace(), obj, opt)
+	res, err := MinimizeContext(context.Background(), testSpace(), obj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +254,14 @@ func TestExpectedImprovement(t *testing.T) {
 }
 
 func TestRandomSearchFindsDecentPoint(t *testing.T) {
-	res, err := RandomSearch(testSpace(), quadObj, 200, 4)
+	res, err := RandomSearchContext(context.Background(), testSpace(), quadObj, 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestValue > 20 {
 		t.Fatalf("random search best %v too poor", res.BestValue)
 	}
-	if _, err := RandomSearch(testSpace(), quadObj, 0, 1); err == nil {
+	if _, err := RandomSearchContext(context.Background(), testSpace(), quadObj, 0, 1); err == nil {
 		t.Fatal("expected error for zero iterations")
 	}
 }
@@ -271,7 +272,7 @@ func TestGridSearchCoversGrid(t *testing.T) {
 		calls.Add(1)
 		return quadObj(p)
 	}
-	res, err := GridSearch(testSpace(), obj, 4)
+	res, err := GridSearchContext(context.Background(), testSpace(), obj, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestGridSearchCoversGrid(t *testing.T) {
 	if res.Best == nil {
 		t.Fatal("no best point")
 	}
-	if _, err := GridSearch(testSpace(), obj, 0); err == nil {
+	if _, err := GridSearchContext(context.Background(), testSpace(), obj, 0); err == nil {
 		t.Fatal("expected error for perDim 0")
 	}
 }

@@ -253,7 +253,7 @@ func (c *cancelAtRung) Rung() (float64, bool, error) {
 // TestTrialsObjectiveRunsToEnd: the Objective form of Trials never pauses.
 func TestTrialsObjectiveRunsToEnd(t *testing.T) {
 	log := newTrialLog()
-	res, err := RandomSearch(testSpace(), fakeTrials(log, false, false).Objective(), 5, 3)
+	res, err := RandomSearchContext(context.Background(), testSpace(), fakeTrials(log, false, false).Objective(), 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

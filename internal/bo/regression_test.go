@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -38,8 +39,8 @@ func goldenObj(p []int) (float64, error) {
 }
 
 // TestSerialHistoryMatchesGolden is the determinism contract: with
-// Parallel <= 1, Minimize must return the identical Result.History as the
-// original serial implementation for a fixed seed, so paper-reproduction
+// Parallel <= 1, MinimizeContext must return the identical Result.History as
+// the original serial implementation for a fixed seed, so paper-reproduction
 // numbers are unchanged by the batched/incremental machinery.
 func TestSerialHistoryMatchesGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/serial_golden.json")
@@ -59,7 +60,7 @@ func TestSerialHistoryMatchesGolden(t *testing.T) {
 		opt.InitPoints = 6
 		opt.Seed = run.Seed
 		opt.Candidates = 128
-		res, err := Minimize(goldenSpace(), goldenObj, opt)
+		res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestMinimizeBatchedBudgetAndDeterminism(t *testing.T) {
 		opt.Seed = 11
 		opt.Candidates = 64
 		opt.Parallel = 4
-		res, err := Minimize(goldenSpace(), goldenObj, opt)
+		res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestMinimizeBatchedBudgetAndDeterminism(t *testing.T) {
 		t.Fatalf("history length %d, want 26", len(a.History))
 	}
 	if !reflect.DeepEqual(a.History, b.History) {
-		t.Fatal("batched Minimize is not deterministic for a fixed seed")
+		t.Fatal("batched MinimizeContext is not deterministic for a fixed seed")
 	}
 	if a.BestValue > 8 {
 		t.Fatalf("batched BO best value %v at %v; want < 8", a.BestValue, a.Best)
@@ -116,7 +117,7 @@ func TestMinimizeBatchedAvoidsDuplicates(t *testing.T) {
 	opt.Seed = 5
 	opt.Candidates = 64
 	opt.Parallel = 4
-	res, err := Minimize(goldenSpace(), goldenObj, opt)
+	res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestSerialDuplicateFallbackExhaustsSpace(t *testing.T) {
 	opt.InitPoints = 2
 	opt.Seed = 1
 	opt.Candidates = 16
-	res, err := Minimize(s, obj, opt)
+	res, err := MinimizeContext(context.Background(), s, obj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestMinimizeBatchedFindsGoodPoint(t *testing.T) {
 	opt.Seed = 3
 	opt.Parallel = 4
 	opt.Batch = 3
-	res, err := Minimize(testSpace(), obj, opt)
+	res, err := MinimizeContext(context.Background(), testSpace(), obj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMinimizeBatchedHandlesFailures(t *testing.T) {
 	opt.MaxIters = 20
 	opt.InitPoints = 5
 	opt.Parallel = 4
-	res, err := Minimize(testSpace(), obj, opt)
+	res, err := MinimizeContext(context.Background(), testSpace(), obj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

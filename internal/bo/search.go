@@ -8,15 +8,11 @@ import (
 	"math/rand"
 )
 
-// RandomSearch evaluates iters uniform random points — the comparator the
-// paper found to match BO's accuracy but at higher cost (Section III-A).
-func RandomSearch(space Space, obj Objective, iters int, seed int64) (*Result, error) {
-	return RandomSearchContext(context.Background(), space, obj, iters, seed)
-}
-
-// RandomSearchContext is RandomSearch honoring cancellation: the context is
-// checked before each evaluation, and on cancellation the partial Result is
-// returned with an error wrapping ctx.Err().
+// RandomSearchContext evaluates iters uniform random points — the
+// comparator the paper found to match BO's accuracy but at higher cost
+// (Section III-A). The context is checked before each evaluation, and on
+// cancellation the partial Result is returned with an error wrapping
+// ctx.Err().
 func RandomSearchContext(ctx context.Context, space Space, obj Objective, iters int, seed int64) (*Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -40,15 +36,11 @@ func RandomSearchContext(ctx context.Context, space Space, obj Objective, iters 
 	return res, nil
 }
 
-// GridSearch evaluates a regular grid with perDim levels per dimension
-// (log-spaced for log parameters) — the comparator the paper found less
-// effective than BO. The total budget is perDim^len(Params) evaluations.
-func GridSearch(space Space, obj Objective, perDim int) (*Result, error) {
-	return GridSearchContext(context.Background(), space, obj, perDim)
-}
-
-// GridSearchContext is GridSearch honoring cancellation, with the same
-// partial-result contract as RandomSearchContext.
+// GridSearchContext evaluates a regular grid with perDim levels per
+// dimension (log-spaced for log parameters) — the comparator the paper
+// found less effective than BO. The total budget is perDim^len(Params)
+// evaluations. Cancellation has the same partial-result contract as
+// RandomSearchContext.
 func GridSearchContext(ctx context.Context, space Space, obj Objective, perDim int) (*Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,9 @@
 package bo
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // BenchmarkWarmStartRoundsToBest tracks the transfer-learning win as a
 // benchmark artifact: the same search run cold and warm-started from five
@@ -19,7 +22,7 @@ func BenchmarkWarmStartRoundsToBest(b *testing.B) {
 			opt.Seed = 1
 			opt.Candidates = 128
 			opt.PriorObservations = priors
-			res, err := Minimize(goldenSpace(), goldenObj, opt)
+			res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

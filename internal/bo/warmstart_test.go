@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -27,7 +28,7 @@ func siblingPriors(t testing.TB, k int) []PriorObs {
 	opt.InitPoints = 6
 	opt.Seed = 99
 	opt.Candidates = 128
-	res, err := Minimize(goldenSpace(), siblingObj, opt)
+	res, err := MinimizeContext(context.Background(), goldenSpace(), siblingObj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPriorsEmptyBitIdentical(t *testing.T) {
 		opt.Seed = 1
 		opt.Candidates = 128
 		opt.PriorObservations = priors
-		res, err := Minimize(goldenSpace(), goldenObj, opt)
+		res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestPriorPointsNeverEvaluated(t *testing.T) {
 			opt.Candidates = 128
 			opt.Parallel = parallel
 			opt.PriorObservations = priors
-			res, err := Minimize(goldenSpace(), goldenObj, opt)
+			res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +188,7 @@ func TestWarmStartReachesBestInFewerRounds(t *testing.T) {
 			opt.Seed = seed
 			opt.Candidates = 128
 			opt.PriorObservations = priors
-			res, err := Minimize(goldenSpace(), goldenObj, opt)
+			res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +224,7 @@ func TestPriorOnlySurrogate(t *testing.T) {
 	opt.Seed = 4
 	opt.Candidates = 128
 	opt.PriorObservations = priors
-	res, err := Minimize(goldenSpace(), goldenObj, opt)
+	res, err := MinimizeContext(context.Background(), goldenSpace(), goldenObj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,10 +158,6 @@ func (c *CloudScale) Predict(history []float64) (float64, error) {
 	return v, nil
 }
 
-// UsesPattern reports whether the FFT phase detected a trustworthy
-// repeating pattern (exported for tests and reports).
-func (c *CloudScale) UsesPattern() bool { return c.usePattern }
-
 // Period returns the detected dominant period in intervals.
 func (c *CloudScale) Period() int { return c.period }
 

@@ -51,23 +51,6 @@ func FFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// IFFT computes the inverse DFT (power-of-two length).
-func IFFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	f, err := FFT(conj)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range f {
-		f[i] = cmplx.Conj(v) / complex(float64(n), 0)
-	}
-	return f, nil
-}
-
 // nextPow2 returns the smallest power of two >= n.
 func nextPow2(n int) int {
 	p := 1

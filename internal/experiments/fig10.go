@@ -7,7 +7,7 @@ import (
 
 	"loaddynamics/internal/autoscale"
 	"loaddynamics/internal/cloudinsight"
-	"loaddynamics/internal/core"
+	"loaddynamics/internal/fleet"
 	"loaddynamics/internal/predictors"
 	"loaddynamics/internal/timeseries"
 	"loaddynamics/internal/traces"
@@ -52,12 +52,13 @@ func Fig10(sc Scale) ([]Fig10Row, error) {
 		return nil, err
 	}
 
-	// The Section V adaptive variant: same initial build, plus
-	// drift-triggered re-optimization during the run (the baselines refit
-	// every 5 intervals, so this is the apples-to-apples LoadDynamics).
-	acfg := core.DefaultAdaptiveConfig(sc.frameworkConfig(traces.Azure))
-	acfg.HistoryCap = 600
-	adaptive, err := core.NewAdaptive(acfg, w.Split.Train.Values, w.Split.Validate.Values)
+	// The Section V adaptive variant: the same model on the fleet's loop,
+	// with drift-triggered re-optimization during the run (the baselines
+	// refit every 5 intervals, so this is the apples-to-apples LoadDynamics).
+	adaptive, err := fleet.NewAdaptive(fleet.Options{
+		HistoryCap: 600,
+		Build:      sc.frameworkConfig(traces.Azure),
+	}, ldRes.Best, known)
 	if err != nil {
 		return nil, err
 	}

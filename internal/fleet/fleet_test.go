@@ -32,12 +32,19 @@ func tinySeries(seed int64, n int) []float64 {
 // tinyModel trains a minimal LSTM in milliseconds.
 func tinyModel(t testing.TB, seed int64) *core.Model {
 	t.Helper()
-	series := tinySeries(seed, 80)
+	return trainOn(t, tinySeries(seed, 80), seed, 4)
+}
+
+// trainOn trains a minimal LSTM with a historyLen window on a 75/25
+// train/validate split of series.
+func trainOn(t testing.TB, series []float64, seed int64, historyLen int) *core.Model {
+	t.Helper()
 	tc := nn.DefaultTrainConfig()
 	tc.Epochs = 2
 	tc.Patience = 0
+	cut := len(series) * 3 / 4
 	m, err := core.TrainSingle(core.Config{Seed: seed, Train: tc},
-		series[:60], series[60:], core.Hyperparams{HistoryLen: 4, CellSize: 2, Layers: 1, BatchSize: 8})
+		series[:cut], series[cut:], core.Hyperparams{HistoryLen: historyLen, CellSize: 2, Layers: 1, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,24 @@ func (f *Fleet) Start(ctx context.Context) {
 	}
 }
 
+// RunQueuedRebuilds drains the rebuild queue through rebuildOne on the
+// caller's goroutine — the synchronous counterpart of the Start workers —
+// and returns how many rebuilds it ran. Once ctx is done the rest stay
+// queued.
+func (f *Fleet) RunQueuedRebuilds(ctx context.Context) int {
+	n := 0
+	for ctx.Err() == nil {
+		select {
+		case id := <-f.queue:
+			f.rebuildOne(ctx, id)
+			n++
+		default:
+			return n
+		}
+	}
+	return n
+}
+
 // Close stops the rebuild workers, waits for in-flight rebuilds to finish
 // (their build contexts are cancelled, so an LSTM training run stops
 // within one mini-batch), drains and stops the streaming-ingest workers
@@ -158,9 +176,10 @@ func backoffDelay(base, max time.Duration, streak int64, id string) time.Duratio
 
 // rebuildOne re-runs the core.Build workflow for one workload on its
 // accumulated observation history, then promotes the result only if its
-// cross-validation error improves on the incumbent's — otherwise the old
-// model keeps serving and the rejection is recorded. Outcomes land in the
-// fleet.rebuild span and the fleet.rebuilds.* counters.
+// cross-validation error improves on the incumbent's error over the same
+// split — otherwise the old model keeps serving and the rejection is
+// recorded. Outcomes land in the fleet.rebuild span and the
+// fleet.rebuilds.* counters.
 func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 	e := f.get(id)
 	if e == nil {
@@ -297,7 +316,7 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 			os.Remove(cfg.CheckpointPath) // consumed: the build completed
 		}
 		model := res.Best
-		incumbent := e.valError()
+		incumbent := f.incumbentError(e, train, validate)
 		sp.SetAttr("val_error", model.ValError)
 		sp.SetAttr("incumbent_val_error", incumbent)
 		sp.SetAttr("rounds_to_best", res.RoundsToBest())
@@ -355,6 +374,24 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 				"val_error", model.ValError, "incumbent_val_error", incumbent)
 		}
 	}
+}
+
+// incumbentError scores the serving model on the rebuild's own split, the
+// data the candidate's CV error was measured on. The stored CV error was
+// measured on the data the incumbent was built from, so after a regime
+// shift an incumbent that fit the old pattern would look unbeatable. A
+// model that cannot be scored there falls back to the stored CV error.
+func (f *Fleet) incumbentError(e *entry, train, validate []float64) float64 {
+	m := e.model.Load()
+	if m == nil {
+		m, _ = f.load(e) // an unloadable incumbent falls back below
+	}
+	if m != nil {
+		if v, err := m.Evaluate(train, validate); err == nil && !math.IsNaN(v) {
+			return v
+		}
+	}
+	return e.valError()
 }
 
 // durationMS renders a duration in the log schema's duration_ms unit.

@@ -64,7 +64,8 @@ func driftWorkload(t *testing.T, f *Fleet, id string) Status {
 // TestDriftToRebuildToPromotion is the deterministic end-to-end pipeline
 // with a real tiny build: a shifted workload drifts, a background worker
 // re-runs core.Build on the observed history, and the new model is
-// atomically promoted because the incumbent's CV error is worse.
+// atomically promoted because the incumbent forecasts the shifted split
+// worse than the new model does.
 func TestDriftToRebuildToPromotion(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions(t, dir)
@@ -75,7 +76,7 @@ func TestDriftToRebuildToPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := tinyModel(t, 1)
-	old.ValError = 1e9 // any successful rebuild improves on this
+	old.ValError = 1e9 // marks the incumbent: no rebuilt model stores this
 	if err := f.Add("shift", old); err != nil {
 		t.Fatal(err)
 	}
@@ -123,22 +124,22 @@ func TestDriftToRebuildToPromotion(t *testing.T) {
 	}
 }
 
-// TestRebuildRejectedWhenNoImprovement pins the promotion policy: an
-// incumbent with CV error 0 can never be beaten, so the rebuild completes
-// and is recorded as a rejected promotion while the old model keeps
-// serving.
+// TestRebuildRejectedWhenNoImprovement pins the promotion policy: a
+// candidate whose CV error is above the incumbent's error on the same split
+// is no improvement, so the rebuild completes and is recorded as a rejected
+// promotion while the old model keeps serving.
 func TestRebuildRejectedWhenNoImprovement(t *testing.T) {
 	opts := testOptions(t, "")
 	f, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	better := tinyModel(t, 2)
+	worse := tinyModel(t, 2)
+	worse.ValError = 1e9 // no incumbent scores this badly on the split
 	f.buildFn = func(ctx context.Context, cfg core.Config, train, validate []float64) (*core.Result, error) {
-		return &core.Result{Best: better}, nil
+		return &core.Result{Best: worse}, nil
 	}
 	old := tinyModel(t, 1)
-	old.ValError = 0 // unbeatable incumbent
 	if err := f.Add("w", old); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +165,82 @@ func TestRebuildRejectedWhenNoImprovement(t *testing.T) {
 	ws, _ := f.Status("w")
 	if ws.RejectedPromotions != 1 || ws.Drift || ws.Samples != 0 {
 		t.Fatalf("workload status after rejection: %+v", ws)
+	}
+}
+
+// TestPromotionGateComparesOnTheSameSplit pins the same-data promotion
+// gate: an incumbent whose stored CV error is tiny (it fit the old regime)
+// but that forecasts the shifted history badly is scored on the rebuild's
+// own split, so a candidate that beats it there is promoted even though the
+// candidate's CV error is far above the incumbent's stored one.
+func TestPromotionGateComparesOnTheSameSplit(t *testing.T) {
+	f, err := Open(testOptions(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidate := tinyModel(t, 2)
+	candidate.ValError = 5
+	var train, validate []float64
+	f.buildFn = func(ctx context.Context, cfg core.Config, tr, va []float64) (*core.Result, error) {
+		train, validate = tr, va
+		return stubResult(candidate), nil
+	}
+	old := tinyModel(t, 1)
+	old.ValError = 0.01 // fit the old regime almost perfectly
+	if err := f.Add("w", old); err != nil {
+		t.Fatal(err)
+	}
+	driftWorkload(t, f, "w")
+	if n := f.RunQueuedRebuilds(context.Background()); n != 1 {
+		t.Fatalf("ran %d rebuilds, want 1", n)
+	}
+	reg := f.opts.Metrics
+	score, err := old.Evaluate(train, validate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(score > candidate.ValError) {
+		t.Fatalf("setup: incumbent scores %.2f on the split, want above the candidate's %.2f", score, candidate.ValError)
+	}
+	if got := reg.Counter("fleet.rebuilds.ok").Value(); got != 1 {
+		t.Fatalf("rebuilds.ok = %d: candidate at %.2f lost to an incumbent scoring %.2f on the same split",
+			got, candidate.ValError, score)
+	}
+	if m, _ := f.Model("w"); m != candidate {
+		t.Fatal("candidate not promoted")
+	}
+	if ws, _ := f.Status("w"); ws.ValError != candidate.ValError {
+		t.Fatalf("stored CV error after promotion = %v, want the candidate's %v", ws.ValError, candidate.ValError)
+	}
+}
+
+// TestPromotionGateFallsBackToStoredError: an incumbent whose history
+// window is longer than the rebuild's training split cannot be scored
+// there, so the gate compares the candidate with its stored CV error.
+func TestPromotionGateFallsBackToStoredError(t *testing.T) {
+	f, err := Open(testOptions(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidate := tinyModel(t, 2)
+	candidate.ValError = 5
+	f.buildFn = func(ctx context.Context, cfg core.Config, train, validate []float64) (*core.Result, error) {
+		if len(train) >= 56 {
+			return nil, fmt.Errorf("setup: train split of %d scores a 56-value window", len(train))
+		}
+		return stubResult(candidate), nil
+	}
+	old := trainOn(t, tinySeries(1, 200), 1, 56)
+	old.ValError = 0.01
+	if err := f.Add("w", old); err != nil {
+		t.Fatal(err)
+	}
+	driftWorkload(t, f, "w")
+	if n := f.RunQueuedRebuilds(context.Background()); n != 1 {
+		t.Fatalf("ran %d rebuilds, want 1", n)
+	}
+	if got := f.opts.Metrics.Counter("fleet.rebuilds.rejected").Value(); got != 1 {
+		t.Fatalf("rebuilds.rejected = %d: a candidate at 5 must lose to the stored 0.01", got)
 	}
 }
 

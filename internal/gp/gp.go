@@ -280,10 +280,6 @@ func (g *GP) PredictBatch(qs [][]float64) (means, variances []float64) {
 	return means, variances
 }
 
-// LogMarginalLikelihood returns the LML of the (standardized) training
-// targets under the fitted kernel — the model-selection criterion.
-func (g *GP) LogMarginalLikelihood() float64 { return g.lml }
-
 // FitAuto fits GPs over a small grid of length scales (on standardized
 // inputs the plausible range is fixed) and returns the one with the highest
 // log marginal likelihood. This replaces GPyOpt's gradient-based kernel

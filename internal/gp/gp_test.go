@@ -202,8 +202,8 @@ func TestLogMarginalLikelihoodPrefersGoodFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.LogMarginalLikelihood() <= bad.LogMarginalLikelihood() {
-		t.Fatalf("LML: good %v should beat bad %v", good.LogMarginalLikelihood(), bad.LogMarginalLikelihood())
+	if good.lml <= bad.lml {
+		t.Fatalf("LML: good %v should beat bad %v", good.lml, bad.lml)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskyRejectsNonPD(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
+	a := fromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("expected error for indefinite matrix")
 	}
@@ -89,7 +89,7 @@ func TestSolveLowerUpperRoundTrip(t *testing.T) {
 
 func TestSolveSPDRegularizedRecoversFromSingular(t *testing.T) {
 	// Singular (rank-1) matrix: plain Cholesky fails, regularized succeeds.
-	a := FromRows([][]float64{{1, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 1}, {1, 1}})
 	if _, err := SolveSPD(a, []float64{1, 1}); err == nil {
 		t.Fatal("expected plain SolveSPD to fail on singular matrix")
 	}
@@ -104,7 +104,7 @@ func TestSolveSPDRegularizedRecoversFromSingular(t *testing.T) {
 
 func TestLeastSquaresExactFit(t *testing.T) {
 	// y = 2 + 3x fits exactly.
-	x := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	x := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	y := []float64{2, 5, 8, 11}
 	beta, err := LeastSquares(x, y, 0)
 	if err != nil {
@@ -191,7 +191,7 @@ func TestCholeskyAppendRowMatchesFull(t *testing.T) {
 }
 
 func TestCholeskyAppendRowRejectsNonPD(t *testing.T) {
-	l, err := Cholesky(FromRows([][]float64{{4}}))
+	l, err := Cholesky(fromRows([][]float64{{4}}))
 	if err != nil {
 		t.Fatal(err)
 	}

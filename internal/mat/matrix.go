@@ -8,7 +8,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -27,37 +26,12 @@ func New(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d cols, want %d", i, len(row), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // FromSlice wraps data (row-major, length r*c) in a matrix without copying.
 func FromSlice(r, c int, data []float64) *Matrix {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: FromSlice: len(data)=%d, want %d", len(data), r*c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: data}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -249,15 +223,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // AXPY computes y ← y + alpha*x in place.

@@ -44,19 +44,10 @@ func TestNewZeroed(t *testing.T) {
 }
 
 func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.At(0, 0) != 1 || m.At(2, 1) != 6 || m.At(1, 0) != 3 {
 		t.Fatalf("unexpected elements: %+v", m)
 	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestFromSliceLengthPanics(t *testing.T) {
@@ -68,22 +59,40 @@ func TestFromSliceLengthPanics(t *testing.T) {
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
 
+// fromRows builds a matrix from a non-empty slice of equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, row := range rows {
+		copy(m.Row(i), row)
+	}
+	return m
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestIdentityMultiplication(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 5, 5)
-	if !matsAlmostEqual(MatMul(a, Identity(5)), a, 1e-12) {
+	if !matsAlmostEqual(MatMul(a, identity(5)), a, 1e-12) {
 		t.Fatal("A·I != A")
 	}
-	if !matsAlmostEqual(MatMul(Identity(5), a), a, 1e-12) {
+	if !matsAlmostEqual(MatMul(identity(5), a), a, 1e-12) {
 		t.Fatal("I·A != A")
 	}
 }
 
 func TestMatMulKnownValues(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	b := fromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
 	got := MatMul(a, b)
-	want := FromRows([][]float64{{58, 64}, {139, 154}})
+	want := fromRows([][]float64{{58, 64}, {139, 154}})
 	if !matsAlmostEqual(got, want, 1e-12) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
@@ -232,8 +241,8 @@ func TestDotAndNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
+	if got := Dot([]float64{3, 4}, []float64{3, 4}); got != 25 {
+		t.Fatalf("squared norm via Dot = %v, want 25", got)
 	}
 }
 
@@ -249,7 +258,7 @@ func TestAXPY(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	b := a.Clone()
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -258,7 +267,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestRowIsView(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	a.Row(1)[0] = 42
 	if a.At(1, 0) != 42 {
 		t.Fatal("Row should be a mutable view")

@@ -419,9 +419,6 @@ func (s Snapshot) CounterNames() []string { return sortedKeys(s.Counters) }
 // HistogramNames returns the registered histogram names, sorted.
 func (s Snapshot) HistogramNames() []string { return sortedKeys(s.Histograms) }
 
-// GaugeNames returns the registered gauge names, sorted.
-func (s Snapshot) GaugeNames() []string { return sortedKeys(s.Gauges) }
-
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

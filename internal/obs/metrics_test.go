@@ -169,9 +169,6 @@ func TestRegistryGetOrCreateAndSnapshot(t *testing.T) {
 	if names := snap.HistogramNames(); len(names) != 1 || names[0] != "h" {
 		t.Fatalf("histogram names = %v", names)
 	}
-	if names := snap.GaugeNames(); len(names) != 1 || names[0] != "g" {
-		t.Fatalf("gauge names = %v", names)
-	}
 }
 
 // TestConcurrentMetrics hammers one registry from parallel goroutines —

@@ -3,7 +3,6 @@ package timeseries
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of values (0 for an empty slice).
@@ -30,20 +29,6 @@ func Std(values []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(values)))
-}
-
-// Median returns the median of values (0 for an empty slice).
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }
 
 // MAPE returns the mean absolute percentage error 100/n · Σ|pᵢ−aᵢ|/|aᵢ|,

@@ -27,15 +27,6 @@ func TransformAll(s Scaler, values []float64) []float64 {
 	return out
 }
 
-// InverseAll applies s.Inverse to every element, returning a new slice.
-func InverseAll(s Scaler, values []float64) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = s.Inverse(v)
-	}
-	return out
-}
-
 // MinMaxScaler maps [min, max] → [0, 1]. Degenerate (constant) inputs map
 // everything to 0.
 type MinMaxScaler struct {

@@ -156,30 +156,3 @@ func WindowsWithContext(ctx, values []float64, n int) ([]Window, error) {
 	}
 	return out, nil
 }
-
-// Diff returns the d-th order difference of values (length shrinks by d).
-func Diff(values []float64, d int) []float64 {
-	out := append([]float64(nil), values...)
-	for i := 0; i < d; i++ {
-		if len(out) <= 1 {
-			return nil
-		}
-		next := make([]float64, len(out)-1)
-		for j := 1; j < len(out); j++ {
-			next[j-1] = out[j] - out[j-1]
-		}
-		out = next
-	}
-	return out
-}
-
-// Undiff inverts a single differencing step given the last observed level.
-func Undiff(last float64, diffs []float64) []float64 {
-	out := make([]float64, len(diffs))
-	cur := last
-	for i, d := range diffs {
-		cur += d
-		out[i] = cur
-	}
-	return out
-}

@@ -171,39 +171,6 @@ func TestWindowsWithContextShortContext(t *testing.T) {
 	}
 }
 
-func TestDiffUndiffRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.Float64() * 50
-		}
-		d := Diff(vals, 1)
-		rec := Undiff(vals[0], d)
-		for i := 1; i < n; i++ {
-			if math.Abs(rec[i-1]-vals[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiffOrderTwo(t *testing.T) {
-	// Quadratic sequence: second difference is constant 2.
-	vals := []float64{0, 1, 4, 9, 16, 25}
-	d2 := Diff(vals, 2)
-	for _, v := range d2 {
-		if v != 2 {
-			t.Fatalf("second difference = %v, want all 2", d2)
-		}
-	}
-}
-
 func TestSliceBoundsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

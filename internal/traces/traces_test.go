@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,13 +92,24 @@ func TestWikipediaSeasonality(t *testing.T) {
 	}
 }
 
+// median returns the median of a non-empty slice.
+func median(values []float64) float64 {
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	mid := len(sorted) / 2
+	if len(sorted)%2 == 1 {
+		return sorted[mid]
+	}
+	return (sorted[mid-1] + sorted[mid]) / 2
+}
+
 func TestGoogleSpikesConcentratedInFirstHalf(t *testing.T) {
 	s, err := Generate(Google, 28, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	half := s.Len() / 2
-	med := timeseries.Median(s.Values)
+	med := median(s.Values)
 	count := func(vals []float64) int {
 		c := 0
 		for _, v := range vals {

@@ -84,11 +84,6 @@ type HoltWinters struct {
 	fitted       bool
 }
 
-// NewHoltWinters returns a seasonal smoother with standard parameters.
-func NewHoltWinters(period int) *HoltWinters {
-	return &HoltWinters{Alpha: 0.4, Beta: 0.1, Gamma: 0.3, Period: period}
-}
-
 // Name implements predictors.Predictor.
 func (h *HoltWinters) Name() string { return fmt.Sprintf("holtwinters(p=%d)", h.Period) }
 

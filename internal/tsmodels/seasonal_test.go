@@ -77,6 +77,11 @@ func TestDrift(t *testing.T) {
 	}
 }
 
+// newHoltWinters returns a seasonal smoother with standard parameters.
+func newHoltWinters(period int) *HoltWinters {
+	return &HoltWinters{Alpha: 0.4, Beta: 0.1, Gamma: 0.3, Period: period}
+}
+
 func TestHoltWintersLearnsSeasonality(t *testing.T) {
 	// Noisy seasonal series with trend: HW must beat Holt (non-seasonal)
 	// decisively.
@@ -86,7 +91,7 @@ func TestHoltWintersLearnsSeasonality(t *testing.T) {
 	for i := range series {
 		series[i] = 500 + 0.3*float64(i) + 200*math.Sin(2*math.Pi*float64(i)/24) + 5*rng.NormFloat64()
 	}
-	hw := NewHoltWinters(24)
+	hw := newHoltWinters(24)
 	holt := &HoltDES{Alpha: 0.5, Beta: 0.3}
 	if err := hw.Fit(series[:480]); err != nil {
 		t.Fatal(err)
@@ -113,16 +118,16 @@ func TestHoltWintersLearnsSeasonality(t *testing.T) {
 }
 
 func TestHoltWintersValidation(t *testing.T) {
-	hw := NewHoltWinters(1)
+	hw := newHoltWinters(1)
 	if err := hw.Fit(make([]float64, 50)); err == nil {
 		t.Fatal("expected error for period 1")
 	}
-	hw = NewHoltWinters(24)
+	hw = newHoltWinters(24)
 	hw.Alpha = 2
 	if err := hw.Fit(make([]float64, 100)); err == nil {
 		t.Fatal("expected error for alpha out of range")
 	}
-	hw = NewHoltWinters(24)
+	hw = newHoltWinters(24)
 	if err := hw.Fit(make([]float64, 30)); err == nil {
 		t.Fatal("expected error for fewer than two seasons")
 	}
@@ -136,7 +141,7 @@ func TestHoltWintersRefitResetsState(t *testing.T) {
 	for i := range series {
 		series[i] = 100 + 50*math.Sin(2*math.Pi*float64(i)/12)
 	}
-	hw := NewHoltWinters(12)
+	hw := newHoltWinters(12)
 	if err := hw.Fit(series); err != nil {
 		t.Fatal(err)
 	}

@@ -26,23 +26,15 @@ import (
 // baseline and is provided as a library extra. It satisfies
 // predictors.Predictor.
 type RobustAR struct {
-	// Lag is the autoregressive order of the linear model (default 8).
+	// Lag is the autoregressive order of the linear model.
 	Lag int
-	// Iterations of IRLS reweighting (default 10).
+	// Iterations of IRLS reweighting (10 is the classical choice).
 	Iterations int
 	// TuningConstant is Tukey's bisquare constant in units of the robust
-	// scale estimate (default 4.685, the classical 95%-efficiency value).
+	// scale estimate (4.685 is the classical 95%-efficiency value).
 	TuningConstant float64
 
 	coef []float64 // [c, w₁..w_Lag]
-}
-
-// NewRobustAR returns a robust AR model with the classical defaults.
-func NewRobustAR(lag int) *RobustAR {
-	if lag <= 0 {
-		lag = 8
-	}
-	return &RobustAR{Lag: lag, Iterations: 10, TuningConstant: 4.685}
 }
 
 // Name implements predictors.Predictor.
@@ -140,11 +132,6 @@ func (w *RobustAR) Predict(history []float64) (float64, error) {
 		v += w.coef[j] * history[len(history)-j]
 	}
 	return v, nil
-}
-
-// Coefficients returns a copy of the fitted [intercept, w₁..w_Lag].
-func (w *RobustAR) Coefficients() []float64 {
-	return append([]float64(nil), w.coef...)
 }
 
 // weightedLS solves min Σ wᵢ(xᵢ·β − yᵢ)² by scaling rows with √wᵢ.

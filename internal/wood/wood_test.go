@@ -13,6 +13,11 @@ var (
 	_ predictors.Predictor = (*RobustAR)(nil)
 )
 
+// newRobustAR returns a robust AR model with the classical IRLS settings.
+func newRobustAR(lag int) *RobustAR {
+	return &RobustAR{Lag: lag, Iterations: 10, TuningConstant: 4.685}
+}
+
 func TestRobustARFitsLinearProcessExactly(t *testing.T) {
 	// x_t = 3 + 0.6x_{t−1} + 0.2x_{t−2}, noiseless.
 	n := 300
@@ -21,7 +26,7 @@ func TestRobustARFitsLinearProcessExactly(t *testing.T) {
 	for i := 2; i < n; i++ {
 		xs[i] = 3 + 0.6*xs[i-1] + 0.2*xs[i-2]
 	}
-	w := NewRobustAR(2)
+	w := newRobustAR(2)
 	if err := w.Fit(xs[:250]); err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +53,11 @@ func TestRobustARRobustToOutliers(t *testing.T) {
 	for i := 10; i < n; i += 20 {
 		contaminated[i] += 500 // gross outliers
 	}
-	w := NewRobustAR(2)
+	w := newRobustAR(2)
 	if err := w.Fit(contaminated); err != nil {
 		t.Fatal(err)
 	}
-	coef := w.Coefficients()
+	coef := w.coef
 	if math.Abs(coef[1]-0.5) > 0.1 || math.Abs(coef[2]-0.3) > 0.1 {
 		t.Fatalf("robust coefficients = %v, want ≈[5 0.5 0.3]", coef)
 	}
@@ -73,12 +78,12 @@ func TestRobustAROutperformsOLSUnderContamination(t *testing.T) {
 		xs[i] += 300
 	}
 	coefErr := func(iters int) float64 {
-		w := NewRobustAR(1)
+		w := newRobustAR(1)
 		w.Iterations = iters
 		if err := w.Fit(xs); err != nil {
 			t.Fatal(err)
 		}
-		c := w.Coefficients()
+		c := w.coef
 		return math.Abs(c[1] - 0.7)
 	}
 	if robust, ols := coefErr(10), coefErr(1); robust > ols {
@@ -87,11 +92,7 @@ func TestRobustAROutperformsOLSUnderContamination(t *testing.T) {
 }
 
 func TestRobustARValidation(t *testing.T) {
-	w := NewRobustAR(0) // constructor repairs to default
-	if w.Lag != 8 {
-		t.Fatalf("default lag = %d, want 8", w.Lag)
-	}
-	w = NewRobustAR(4)
+	w := newRobustAR(4)
 	if _, err := w.Predict(make([]float64, 10)); err == nil {
 		t.Fatal("expected error before Fit")
 	}
@@ -102,7 +103,7 @@ func TestRobustARValidation(t *testing.T) {
 	if err := w.Fit(make([]float64, 100)); err == nil {
 		t.Fatal("expected error for zero iterations")
 	}
-	w = NewRobustAR(4)
+	w = newRobustAR(4)
 	series := make([]float64, 100)
 	for i := range series {
 		series[i] = float64(i)
@@ -120,7 +121,7 @@ func TestRobustARConstantSeries(t *testing.T) {
 	for i := range series {
 		series[i] = 42
 	}
-	w := NewRobustAR(3)
+	w := newRobustAR(3)
 	if err := w.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestWoodTrendBlindToSeasonality(t *testing.T) {
 		series[i] = 1000 + 400*math.Sin(2*math.Pi*float64(i)/48)
 	}
 	trend := New(16)
-	ar := NewRobustAR(8)
+	ar := newRobustAR(8)
 	if err := ar.Fit(series[:300]); err != nil {
 		t.Fatal(err)
 	}

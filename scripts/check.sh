@@ -8,13 +8,15 @@
 #   3. perfbench smoke tests: the benchmark harness is its own module
 #      (perfbench/go.mod) compiled against this checkout, so an API change
 #      that breaks it shows up here, not only in a benchmark run
-#   4. every benchmark under internal/ runs once, so a benchmark that fails
+#   4. the paper's Fig. 10 regenerates byte for byte: quick scale, serial
+#      searches, compared with report/fig10.txt
+#   5. every benchmark under internal/ runs once, so a benchmark that fails
 #      at run time (say, after an API change it calls) breaks CI and not
 #      the next benchmarking session
-#   5. log hygiene: no package under internal/ may import the global "log"
+#   6. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
-#   6. gofmt: every Go file outside hidden directories is gofmt-clean
-#   7. coverage report for the network, search (BO and GP), observability,
+#   7. gofmt: every Go file outside hidden directories is gofmt-clean
+#   8. coverage report for the network, search (BO and GP), observability,
 #      framework, fleet, WAL, serving, loadgen and profile layers, with hard
 #      floors on every one of them
 set -euo pipefail
@@ -48,6 +50,20 @@ go test -run 'Fuzz' ./internal/core ./internal/serve ./internal/obs ./internal/w
 
 echo "== perfbench smoke tests =="
 (cd perfbench && GOWORK=off go test ./...)
+
+echo "== paper: Fig. 10 regenerates byte for byte =="
+# report/ was written by serial searches: the default Parallel would make
+# the LoadDynamics rows depend on the host's core count.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/experiments -scale quick -only fig10 -serial -out "$tmp" >"$tmp/log" 2>&1 ||
+    { cat "$tmp/log" >&2; exit 1; }
+if ! cmp "$tmp/fig10.txt" report/fig10.txt; then
+    echo "FAIL: regenerated fig10.txt differs from report/fig10.txt" >&2
+    diff "$tmp/fig10.txt" report/fig10.txt >&2 || true
+    exit 1
+fi
+echo "ok: fig10.txt matches report/fig10.txt"
 
 echo "== benchmarks, one iteration each =="
 go test -run '^$' -bench . -benchtime 1x ./internal/...
