@@ -32,7 +32,9 @@ func (m *Matrix) mustShape(r, c int, op string) {
 // scalar loop does, skipping the same zero left-operand entries, so results
 // are bit-identical to the unblocked kernels. Do not reassociate, split sums
 // or use math.FMA here; trained weights, forecasts and BO histories depend on
-// these exact bits.
+// these exact bits. On hosts with AVX2 the products run the assembly kernels
+// of kernel_amd64.s instead (selected in kernel.go), which keep the same rule
+// lane by lane; these Go kernels are the reference they are tested against.
 
 // MatMulInto computes a×b into dst, overwriting it. dst must not alias a or
 // b. Like MatMul, large products are computed in parallel row blocks.
@@ -51,6 +53,10 @@ func MatMulBTInto(a, b, dst *Matrix) {
 		panic(fmt.Sprintf("mat: MatMulBTInto inner dims: %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.mustShape(a.Rows, b.Rows, "MatMulBTInto")
+	if useAVX2 {
+		mulBTAVX2(a, b, nil, dst)
+		return
+	}
 	n, m := a.Cols, b.Rows
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*n : (i+1)*n]
@@ -84,6 +90,11 @@ func MatMulBT2BiasInto(a1, b1, a2, b2 *Matrix, bias []float64, dst *Matrix) {
 		panic(fmt.Sprintf("mat: MatMulBT2BiasInto bias length %d, want %d", len(bias), b1.Rows))
 	}
 	dst.mustShape(a1.Rows, b1.Rows, "MatMulBT2BiasInto")
+	if useAVX2 { // dst holds a1×b1ᵀ between the two passes
+		mulBTAVX2(a1, b1, nil, dst)
+		mulBTAVX2(a2, b2, bias, dst)
+		return
+	}
 	n1, n2, m := a1.Cols, a2.Cols, b1.Rows
 	for i := 0; i < a1.Rows; i++ {
 		a1row := a1.Data[i*n1 : (i+1)*n1]
@@ -146,6 +157,10 @@ func MatMulATInto(a, b, dst *Matrix) {
 // and aᵀ×b (rs = 1, ks = a.Cols): out(i,j) = Σₖ A(i,k)·b(k,j), summed
 // k-ascending from zero and skipping the terms where A(i,k) == 0.
 func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
+	if useAVX2 {
+		mulRowsAVX2(ad, rs, ks, b, out, lo, hi)
+		return
+	}
 	N := b.Cols
 	bd, od := b.Data[:b.Rows*N], out.Data
 	i := lo

@@ -73,15 +73,30 @@ func refMatMulBT2Bias(a1, b1, a2, b2 *Matrix, bias []float64) *Matrix {
 }
 
 // sparseMatrix is a random matrix with about a quarter of its entries exact
-// zeros, so the kernels' zero-skip paths run.
+// zeros, so the kernels' zero-skip paths run, some of them −0 (skipped like
+// +0), and a few subnormal entries.
 func sparseMatrix(rng *rand.Rand, r, c int) *Matrix {
 	m := randomMatrix(rng, r, c)
 	for i := range m.Data {
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(32) {
+		case 0, 1, 2, 3, 4, 5, 6:
 			m.Data[i] = 0
+		case 7:
+			m.Data[i] = math.Copysign(0, -1)
+		case 8:
+			m.Data[i] *= 0x1p-1060
 		}
 	}
 	return m
+}
+
+// withNaN returns a copy of m with one entry set to NaN, which the zero skip
+// must not skip: a kernel that tested av == 0 the wrong way round for NaN
+// would drop it and leave a number where the reference has NaN.
+func withNaN(rng *rand.Rand, m *Matrix) *Matrix {
+	out := m.Clone()
+	out.Data[rng.Intn(len(out.Data))] = math.NaN()
+	return out
 }
 
 // withInfs returns a copy of m with a few entries set to ±Inf. A kernel that
@@ -104,38 +119,69 @@ func nanMatrix(r, c int) *Matrix {
 }
 
 // firstBitDiff returns the index of the first element whose bits differ, or
-// -1 when got and want are bit-identical.
+// -1 when got and want are bit-identical. Two NaNs count as equal whatever
+// their payloads: when two different NaNs meet in an add, x86 returns the
+// first source's, and Go's compiler picks the order of a commutative add's
+// operands freely (the Go kernels and the scalar reference already differ
+// there), so the payload is not part of the bit-identity rule.
 func firstBitDiff(got, want *Matrix) int {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		return 0
 	}
 	for i, v := range got.Data {
-		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+		w := want.Data[i]
+		if math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
 			return i
 		}
 	}
 	return -1
 }
 
-// TestBlockedKernelsMatchScalarReference pins every register-blocked kernel
+// forEachKernel runs f as one subtest on the Go kernels and one on the AVX2
+// kernels, skipping the AVX2 leg on a CPU without AVX2. It flips the
+// package-wide selector, so its callers must not run in parallel.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, path := range []struct {
+		name string
+		avx2 bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			restore, ok := SetAVX2ForTest(path.avx2)
+			if !ok {
+				t.Skip("CPU or OS lacks AVX2: only the Go kernels run here")
+			}
+			t.Cleanup(restore)
+			f(t)
+		})
+	}
+}
+
+// TestBlockedKernelsMatchScalarReference pins every kernel, on both paths,
 // to its scalar reference bit for bit, over output widths 1–37 (every
-// remainder of the block width) and output row counts 1–65 (every remainder
-// of the row blocking), with exact zeros in the left operand, ±Inf in the
-// right operand on half the shapes, and NaN pre-filled destinations that the
-// kernels must fully overwrite.
+// remainder of the four-wide blocks and lanes), output row counts 1–65
+// (every remainder of the row blocking) and inner dimensions 1–19 (every
+// remainder of the four-wide k steps), with exact zeros, −0 and
+// subnormals in the left operand, a NaN in it on a third of the shapes, ±Inf
+// in the right operand on half of them, and NaN pre-filled destinations that
+// the kernels must fully overwrite.
 func TestBlockedKernelsMatchScalarReference(t *testing.T) {
+	forEachKernel(t, testKernelsMatchScalarReference)
+}
+
+func testKernelsMatchScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	check := func(name string, rows, width int, got, want *Matrix) {
+	check := func(name string, rows, width, n int, got, want *Matrix) {
 		t.Helper()
 		if i := firstBitDiff(got, want); i >= 0 {
-			t.Fatalf("%s rows=%d width=%d: element %d = %v, reference %v",
-				name, rows, width, i, got.Data[i], want.Data[i])
+			t.Fatalf("%s rows=%d width=%d inner=%d: element %d = %v (%#x), reference %v (%#x)",
+				name, rows, width, n, i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
 		}
 	}
 	for rows := 1; rows <= 65; rows++ {
 		for width := 1; width <= 37; width++ {
-			n := 1 + (rows+width)%7 // inner dimension
+			n := 1 + (rows+width)%19 // inner dimension
 			infs := (rows+width)%2 == 0
+			nans := (rows+width)%3 == 0
 			right := func(r, c int) *Matrix {
 				m := randomMatrix(rng, r, c)
 				if infs {
@@ -143,28 +189,35 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 				}
 				return m
 			}
+			left := func(r, c int) *Matrix {
+				m := sparseMatrix(rng, r, c)
+				if nans {
+					m = withNaN(rng, m)
+				}
+				return m
+			}
 
-			a, b := sparseMatrix(rng, rows, n), right(n, width)
+			a, b := left(rows, n), right(n, width)
 			got := nanMatrix(rows, width)
 			MatMulInto(a, b, got)
-			check("MatMulInto", rows, width, got, refMatMul(a, b))
+			check("MatMulInto", rows, width, n, got, refMatMul(a, b))
 
-			at, bt := sparseMatrix(rng, n, rows), right(n, width)
+			at, bt := left(n, rows), right(n, width)
 			got = nanMatrix(rows, width)
 			MatMulATInto(at, bt, got)
-			check("MatMulATInto", rows, width, got, refMatMulAT(at, bt))
+			check("MatMulATInto", rows, width, n, got, refMatMulAT(at, bt))
 
 			w := right(width, n)
 			got = nanMatrix(rows, width)
 			MatMulBTInto(a, w, got)
-			check("MatMulBTInto", rows, width, got, refMatMulBT(a, w))
+			check("MatMulBTInto", rows, width, n, got, refMatMulBT(a, w))
 
 			n2 := 1 + (rows*width)%5
-			a2, w2 := sparseMatrix(rng, rows, n2), right(width, n2)
+			a2, w2 := left(rows, n2), right(width, n2)
 			bias := randomMatrix(rng, 1, width).Data
 			got = nanMatrix(rows, width)
 			MatMulBT2BiasInto(a, w, a2, w2, bias, got)
-			check("MatMulBT2BiasInto", rows, width, got, refMatMulBT2Bias(a, w, a2, w2, bias))
+			check("MatMulBT2BiasInto", rows, width, n, got, refMatMulBT2Bias(a, w, a2, w2, bias))
 		}
 	}
 }
@@ -206,6 +259,10 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 // MatMulInto must fan out to the parallel path on large operands and still
 // match the scalar reference bit for bit.
 func TestMatMulIntoParallelPath(t *testing.T) {
+	forEachKernel(t, testMatMulIntoParallelPath)
+}
+
+func testMatMulIntoParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := sparseMatrix(rng, 97, 96)
 	b := randomMatrix(rng, 96, 95)

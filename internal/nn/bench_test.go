@@ -45,11 +45,17 @@ func BenchmarkShapePredictH16L2T24(b *testing.B) { benchPredict(b, 16, 2, 24) }
 // fleet shape.
 func BenchmarkShapePredictH8L1T12(b *testing.B) { benchPredict(b, 8, 1, 12) }
 
-// BenchmarkShapeTrainStepH16L2T24B32 is one mini-batch training step
-// (forward, BPTT, clip, Adam) at batch size 32.
-func BenchmarkShapeTrainStepH16L2T24B32(b *testing.B) {
+// BenchmarkShapePredictH5L1T12 and BenchmarkShapePredictH13L2T24 are
+// single-history forecasts at cell sizes that are not multiples of four, so
+// the hidden-width products end in a partial block.
+func BenchmarkShapePredictH5L1T12(b *testing.B)  { benchPredict(b, 5, 1, 12) }
+func BenchmarkShapePredictH13L2T24(b *testing.B) { benchPredict(b, 13, 2, 24) }
+
+// benchTrainStep times one mini-batch training step (forward, BPTT, clip,
+// Adam) at batch size 32 and sequence length 24.
+func benchTrainStep(b *testing.B, hidden, layers int) {
 	const bsz, T = 32, 24
-	m := benchNet(b, 16, 2)
+	m := benchNet(b, hidden, layers)
 	rng := rand.New(rand.NewSource(3))
 	inputs := randHistories(rng, bsz, T)
 	targets := make([]float64, bsz)
@@ -65,3 +71,10 @@ func BenchmarkShapeTrainStepH16L2T24B32(b *testing.B) {
 		benchSinkF, benchSinkE = tr.step(inputs, targets, batch)
 	}
 }
+
+func BenchmarkShapeTrainStepH16L2T24B32(b *testing.B) { benchTrainStep(b, 16, 2) }
+
+// BenchmarkShapeTrainStepH5L1T24B32 and BenchmarkShapeTrainStepH13L2T24B32
+// train at cell sizes that are not multiples of four.
+func BenchmarkShapeTrainStepH5L1T24B32(b *testing.B)  { benchTrainStep(b, 5, 1) }
+func BenchmarkShapeTrainStepH13L2T24B32(b *testing.B) { benchTrainStep(b, 13, 2) }

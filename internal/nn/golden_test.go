@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"loaddynamics/internal/mat"
 )
 
 // goldenCase pins the exact bits a fixed-seed training run lands on. The
@@ -66,7 +68,33 @@ func hashFloats(vs ...[]float64) uint64 {
 // TestStreamingInferenceParity compares inference against the training
 // forward pass, and both share one cell kernel, so drift in that kernel
 // would go unseen there; this test catches it.
+//
+// Both run once on the Go kernels and once on the AVX2 kernels (forEachKernel):
+// the two must land on the same bits.
 func TestGoldenTrainingBits(t *testing.T) {
+	forEachKernel(t, testGoldenTrainingBits)
+}
+
+// forEachKernel runs f as one subtest on internal/mat's Go kernels and one on
+// its AVX2 kernels, skipping the AVX2 leg on a CPU without AVX2. It flips a
+// package-wide selector, so its callers must not run in parallel.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, path := range []struct {
+		name string
+		avx2 bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			restore, ok := mat.SetAVX2ForTest(path.avx2)
+			if !ok {
+				t.Skip("CPU or OS lacks AVX2: only the Go kernels run here")
+			}
+			t.Cleanup(restore)
+			f(t)
+		})
+	}
+}
+
+func testGoldenTrainingBits(t *testing.T) {
 	for _, gc := range goldenCases {
 		rng := rand.New(rand.NewSource(int64(100*gc.hidden + gc.layers)))
 		m, err := NewLSTM(Config{InputSize: 1, HiddenSize: gc.hidden, Layers: gc.layers, OutputSize: 1}, rng)

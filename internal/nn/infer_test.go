@@ -47,8 +47,12 @@ func randHistories(rng *rand.Rand, bsz, T int) [][]float64 {
 // TestStreamingInferenceParity pins the streaming pooled inference path to
 // the packInputs+forward reference, bit for bit, across layer counts, batch
 // sizes and sequence lengths — including repeated calls that exercise pooled
-// (dirty) workspaces.
+// (dirty) workspaces — on both kernel paths.
 func TestStreamingInferenceParity(t *testing.T) {
+	forEachKernel(t, testStreamingInferenceParity)
+}
+
+func testStreamingInferenceParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, layers := range []int{1, 2, 3} {
 		m := testNet(t, layers)

@@ -77,9 +77,10 @@ func FuzzWALRecord(f *testing.F) {
 		}
 
 		var rec Record
+		names := make(map[string]string)
 		decoded := 0
 		consumed, decodeErr := scanFrames(data, func(payload []byte) error {
-			if err := decodePayload(payload, &rec); err != nil {
+			if err := decodePayload(payload, &rec, names); err != nil {
 				return err
 			}
 			decoded++

@@ -199,7 +199,9 @@ func openReplay(tb testing.TB, dir string) int {
 // TestOpenReplayAllocation pins the read path: recovery and replay each
 // read the segment once into a buffer of its exact size, so opening and
 // replaying an 8 MiB segment allocates little more than twice its bytes
-// (a growing read buffer costs several times that).
+// (a growing read buffer costs several times that); and replay interns
+// workload IDs, so the number of allocations is bounded by the distinct
+// workloads (64 here) plus Open's own, not by the records (about 30,000).
 func TestOpenReplayAllocation(t *testing.T) {
 	dir, size := bigSegmentDir(t, 8<<20)
 	var before, after runtime.MemStats
@@ -212,6 +214,10 @@ func TestOpenReplayAllocation(t *testing.T) {
 	alloc := after.TotalAlloc - before.TotalAlloc
 	if ratio := float64(alloc) / float64(size); ratio > 2.2 {
 		t.Fatalf("Open+Replay of a %d-byte segment allocated %d bytes (%.2f×), want at most 2.2×", size, alloc, ratio)
+	}
+	const workloads, openAllocs = 64, 64 // bigSegmentDir's IDs; Open, the map and its growth
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > workloads+openAllocs {
+		t.Fatalf("Open+Replay of %d records made %d allocations, want at most %d", n, mallocs, workloads+openAllocs)
 	}
 }
 

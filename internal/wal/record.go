@@ -65,10 +65,12 @@ func appendFramed(dst []byte, kind byte, workload string, values []float64) []by
 }
 
 // decodePayload parses a CRC-verified payload into rec, reusing rec's
-// Values capacity. A payload that passes the CRC but fails structural
-// validation means a writer bug or deliberate tampering, not a torn
-// write — the caller treats it as corruption, never as a clean tail.
-func decodePayload(p []byte, rec *Record) error {
+// Values capacity and interning the workload ID in names, so a replay
+// allocates one string per distinct workload rather than one per record.
+// A payload that passes the CRC but fails structural validation means a
+// writer bug or deliberate tampering, not a torn write — the caller treats
+// it as corruption, never as a clean tail.
+func decodePayload(p []byte, rec *Record, names map[string]string) error {
 	if len(p) < payloadHeaderLen {
 		return fmt.Errorf("wal: payload %d bytes, need at least %d", len(p), payloadHeaderLen)
 	}
@@ -85,7 +87,12 @@ func decodePayload(p []byte, rec *Record) error {
 		return fmt.Errorf("wal: payload declares %d values but carries %d bytes", count, len(rest))
 	}
 	rec.Kind = kind
-	rec.Workload = string(id)
+	name, ok := names[string(id)] // the conversion in a lookup does not allocate
+	if !ok {
+		name = string(id)
+		names[name] = name
+	}
+	rec.Workload = name
 	if cap(rec.Values) < count {
 		rec.Values = make([]float64, count)
 	}

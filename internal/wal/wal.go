@@ -388,13 +388,14 @@ func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var rec Record
+	names := make(map[string]string)
 	for i, seq := range l.segments {
 		data, err := l.readSegmentLocked(seq)
 		if err != nil {
 			return err
 		}
 		valid, err := scanFrames(data, func(payload []byte) error {
-			if derr := decodePayload(payload, &rec); derr != nil {
+			if derr := decodePayload(payload, &rec, names); derr != nil {
 				return derr
 			}
 			l.stats.Replayed++

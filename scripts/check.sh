@@ -2,7 +2,8 @@
 # check.sh — the repo's CI gate, runnable locally via `make check`.
 #
 #   1. tier-1: build, vet, full test suite, -race on the concurrency-bearing
-#      packages (see ROADMAP.md)
+#      packages (see ROADMAP.md); vet again for arm64, so the Go fallback of
+#      internal/mat's amd64 assembly kernels keeps compiling
 #   2. fuzz seed corpora in regression mode (committed seeds only, no
 #      fuzzing engine time)
 #   3. perfbench smoke tests: the benchmark harness is its own module
@@ -16,12 +17,13 @@
 #   6. log hygiene: no package under internal/ may import the global "log"
 #      package — structured logging goes through log/slog via internal/obs
 #   7. gofmt: every Go file outside hidden directories is gofmt-clean
-#   8. coverage report for the network, search (BO and GP), observability,
-#      framework, fleet, WAL, serving, loadgen and profile layers, with hard
-#      floors on every one of them
+#   8. coverage report for the matrix kernels, network, search (BO and GP),
+#      observability, framework, fleet, WAL, serving, loadgen and profile
+#      layers, with hard floors on every one of them
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+MAT_COVER_FLOOR=92
 NN_COVER_FLOOR=90
 BO_COVER_FLOOR=90
 GP_COVER_FLOOR=85
@@ -38,6 +40,9 @@ go build ./...
 
 echo "== tier-1: vet =="
 go vet ./...
+
+echo "== vet for arm64 (the non-amd64 kernel fallback) =="
+GOARCH=arm64 go vet ./...
 
 echo "== tier-1: tests =="
 go test ./...
@@ -89,11 +94,12 @@ echo "ok: gofmt -l lists no files"
 
 echo "== coverage =="
 fail=0
-for pkg in internal/nn internal/bo internal/gp internal/obs internal/core internal/serve internal/fleet internal/wal internal/loadgen internal/profile; do
+for pkg in internal/mat internal/nn internal/bo internal/gp internal/obs internal/core internal/serve internal/fleet internal/wal internal/loadgen internal/profile; do
     pct=$(go test -cover "./$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {sub(/%/,"",$i); print $i; exit}}')
     echo "coverage ./$pkg: ${pct}%"
     floor=
     case "$pkg" in
+        internal/mat) floor=$MAT_COVER_FLOOR ;;
         internal/nn) floor=$NN_COVER_FLOOR ;;
         internal/bo) floor=$BO_COVER_FLOOR ;;
         internal/gp) floor=$GP_COVER_FLOOR ;;
