@@ -23,7 +23,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for j := 0; j <= i; j++ {
 			sum := a.At(i, j)
 			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+				sum -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -83,7 +83,7 @@ func SolveLower(l *Matrix, b []float64) []float64 {
 		sum := b[i]
 		row := l.Data[i*n : i*n+i]
 		for k, v := range row {
-			sum -= v * y[k]
+			sum -= float64(v * y[k])
 		}
 		y[i] = sum / l.At(i, i)
 	}
@@ -109,7 +109,7 @@ func SolveLowerBatch(l, b *Matrix) *Matrix {
 			sum := brow[i]
 			row := l.Data[i*n : i*n+i]
 			for k, v := range row {
-				sum -= v * y[k]
+				sum -= float64(v * y[k])
 			}
 			y[i] = sum / l.At(i, i)
 		}
@@ -128,7 +128,7 @@ func SolveUpperT(l *Matrix, y []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
+			sum -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = sum / l.At(i, i)
 	}

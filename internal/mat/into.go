@@ -7,6 +7,10 @@ import "fmt"
 // training and inference) can reuse pre-sized buffers instead of allocating
 // fresh matrices every step. The allocating MatMul, MatMulBT and MatMulAT
 // run the same kernels.
+//
+// Every product that meets an add is written float64(a*b): the explicit
+// conversion rounds it, so compilers that fuse a*b + c into one FMA (arm64,
+// say) cannot, and the kernels round the same way on every architecture.
 
 // Zero clears every element of m.
 func (m *Matrix) Zero() {
@@ -123,10 +127,10 @@ func dot4(a, b []float64) (s0, s1, s2, s3 float64) {
 	n := len(a)
 	b0, b1, b2, b3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
 	for k, av := range a {
-		s0 += av * b0[k]
-		s1 += av * b1[k]
-		s2 += av * b2[k]
-		s3 += av * b3[k]
+		s0 += float64(av * b0[k])
+		s1 += float64(av * b1[k])
+		s2 += float64(av * b2[k])
+		s3 += float64(av * b3[k])
 	}
 	return
 }
@@ -136,7 +140,7 @@ func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	s := 0.0
 	for k, av := range a {
-		s += av * b[k]
+		s += float64(av * b[k])
 	}
 	return s
 }
@@ -170,16 +174,16 @@ func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
 			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
 				br := bd[kb : kb+4]
 				if av := ad[ka]; av != 0 {
-					s00 += av * br[0]
-					s01 += av * br[1]
-					s02 += av * br[2]
-					s03 += av * br[3]
+					s00 += float64(av * br[0])
+					s01 += float64(av * br[1])
+					s02 += float64(av * br[2])
+					s03 += float64(av * br[3])
 				}
 				if av := ad[ka+rs]; av != 0 {
-					s10 += av * br[0]
-					s11 += av * br[1]
-					s12 += av * br[2]
-					s13 += av * br[3]
+					s10 += float64(av * br[0])
+					s11 += float64(av * br[1])
+					s12 += float64(av * br[2])
+					s13 += float64(av * br[3])
 				}
 			}
 			o := od[i*N+j : i*N+j+4]
@@ -197,10 +201,10 @@ func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
 					continue
 				}
 				br := bd[kb : kb+4]
-				s0 += av * br[0]
-				s1 += av * br[1]
-				s2 += av * br[2]
-				s3 += av * br[3]
+				s0 += float64(av * br[0])
+				s1 += float64(av * br[1])
+				s2 += float64(av * br[2])
+				s3 += float64(av * br[3])
 			}
 			o := od[i*N+j : i*N+j+4]
 			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
@@ -215,16 +219,16 @@ func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
 			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
 				bv := bd[kb]
 				if av := ad[ka]; av != 0 {
-					s0 += av * bv
+					s0 += float64(av * bv)
 				}
 				if av := ad[ka+rs]; av != 0 {
-					s1 += av * bv
+					s1 += float64(av * bv)
 				}
 				if av := ad[ka+2*rs]; av != 0 {
-					s2 += av * bv
+					s2 += float64(av * bv)
 				}
 				if av := ad[ka+3*rs]; av != 0 {
-					s3 += av * bv
+					s3 += float64(av * bv)
 				}
 			}
 			od[i*N+j], od[(i+1)*N+j], od[(i+2)*N+j], od[(i+3)*N+j] = s0, s1, s2, s3
@@ -233,7 +237,7 @@ func mulRows(ad []float64, rs, ks int, b, out *Matrix, lo, hi int) {
 			s := 0.0
 			for ka, kb := i*rs, j; kb < len(bd); ka, kb = ka+ks, kb+N {
 				if av := ad[ka]; av != 0 {
-					s += av * bd[kb]
+					s += float64(av * bd[kb])
 				}
 			}
 			od[i*N+j] = s

@@ -20,7 +20,7 @@ func refMatMul(a, b *Matrix) *Matrix {
 				continue
 			}
 			for j, bv := range b.Row(k) {
-				orow[j] += aik * bv
+				orow[j] += float64(aik * bv)
 			}
 		}
 	}
@@ -37,7 +37,7 @@ func refMatMulAT(a, b *Matrix) *Matrix {
 			}
 			orow := out.Row(i)
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -47,7 +47,7 @@ func refMatMulAT(a, b *Matrix) *Matrix {
 func refDot(a, b []float64) float64 {
 	s := 0.0
 	for k, av := range a {
-		s += av * b[k]
+		s += float64(av * b[k])
 	}
 	return s
 }

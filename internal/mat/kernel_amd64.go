@@ -5,6 +5,17 @@ package mat
 // XCR0 (read with XGETBV) enables both the XMM and the YMM state.
 var haveAVX2 = detectAVX2()
 
+// haveFMA reports whether CPUID.1:ECX sets FMA. With haveAVX2 it is the
+// test internal/cpu makes for HasAVX && HasFMA, which is the condition under
+// which math.Exp runs the FMA sequence the cell kernel repeats.
+var haveFMA = detectFMA()
+
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 func detectAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -40,3 +51,20 @@ func mulRowsAsm(a *float64, rs, ks int, b *float64, kk, n int, out *float64, row
 //
 //go:noescape
 func mulBTAsm(a, b, out, bias *float64, rows, n, m int)
+
+// cellRowAsm runs LSTMCellRow's pass over lanes 0..n-1 of a row whose
+// gates are hh wide, four lanes at a time and the last n%4 under a lane
+// mask; gates points at lane 0 of the i gate and tanhC may be nil. It
+// returns n, or the first lane of the first group it left untouched
+// because a lane falls outside what it reproduces bit for bit. n must be
+// positive.
+//
+//go:noescape
+func cellRowAsm(gates *float64, hh int, cPrev, c, h, tanhC *float64, n int) int
+
+// expAsm sets each lane of x to the cell kernel's exp of it and returns a
+// mask with bit i set when lane i is one the kernel leaves to the scalar
+// reference. Only tests call it.
+//
+//go:noescape
+func expAsm(x *[4]float64) (special int)

@@ -206,7 +206,7 @@ func MatVec(a *Matrix, x []float64) []float64 {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -220,7 +220,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -231,6 +231,6 @@ func AXPY(alpha float64, x, y []float64) {
 		panic(fmt.Sprintf("mat: AXPY length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }

@@ -42,3 +42,26 @@ func TestPredictZeroAlloc(t *testing.T) {
 		t.Fatalf("PredictBatchInto allocates %.2f objects/op, want 0", allocs)
 	}
 }
+
+// TestTrainStepZeroAlloc pins a steady-state training step (forward, BPTT,
+// clip, Adam) at two fleet shapes to zero allocations once the first step
+// has sized the trainer's batch workspace.
+func TestTrainStepZeroAlloc(t *testing.T) {
+	for _, shape := range []struct{ hidden, layers int }{{5, 1}, {16, 2}} {
+		m, err := NewLSTM(Config{InputSize: 1, HiddenSize: shape.hidden, Layers: shape.layers, OutputSize: 1}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, inputs, targets, batch := trainStepFixture(m, rand.New(rand.NewSource(3)))
+		if _, err := tr.step(inputs, targets, batch); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := tr.step(inputs, targets, batch); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("H%d/L%d: a steady-state train step allocates %.2f objects, want 0", shape.hidden, shape.layers, allocs)
+		}
+	}
+}

@@ -51,20 +51,28 @@ func BenchmarkShapePredictH8L1T12(b *testing.B) { benchPredict(b, 8, 1, 12) }
 func BenchmarkShapePredictH5L1T12(b *testing.B)  { benchPredict(b, 5, 1, 12) }
 func BenchmarkShapePredictH13L2T24(b *testing.B) { benchPredict(b, 13, 2, 24) }
 
-// benchTrainStep times one mini-batch training step (forward, BPTT, clip,
-// Adam) at batch size 32 and sequence length 24.
-func benchTrainStep(b *testing.B, hidden, layers int) {
+// trainStepFixture is a trainer for m with one mini-batch of 32 random
+// histories, 24 steps long, and their targets.
+func trainStepFixture(m *LSTM, rng *rand.Rand) (tr *trainer, inputs [][]float64, targets []float64, batch []int) {
 	const bsz, T = 32, 24
-	m := benchNet(b, hidden, layers)
-	rng := rand.New(rand.NewSource(3))
-	inputs := randHistories(rng, bsz, T)
-	targets := make([]float64, bsz)
-	batch := make([]int, bsz)
+	inputs = randHistories(rng, bsz, T)
+	targets = make([]float64, bsz)
+	batch = make([]int, bsz)
 	for i := range targets {
 		targets[i] = rng.Float64()
 		batch[i] = i
 	}
-	tr := newTrainer(m, DefaultTrainConfig())
+	return newTrainer(m, DefaultTrainConfig()), inputs, targets, batch
+}
+
+// benchTrainStep times one steady-state mini-batch training step (forward,
+// BPTT, clip, Adam) at batch size 32 and sequence length 24. The first
+// step, which sizes the trainer's batch workspace, runs before the timer.
+func benchTrainStep(b *testing.B, hidden, layers int) {
+	tr, inputs, targets, batch := trainStepFixture(benchNet(b, hidden, layers), rand.New(rand.NewSource(3)))
+	if _, err := tr.step(inputs, targets, batch); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -71,7 +71,8 @@ func NewLSTM(cfg Config, rng *rand.Rand) (*LSTM, error) {
 func xavierInit(w *mat.Matrix, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(fanIn+fanOut))
 	for i := range w.Data {
-		w.Data[i] = (2*rng.Float64() - 1) * limit
+		r := float64(rng.Float64()) // rand's inlined scaling must not fuse into 2·r
+		w.Data[i] = (float64(2*r) - 1) * limit
 	}
 }
 
@@ -86,39 +87,24 @@ type layerState struct {
 }
 
 // cellStep advances the layer one timestep for every row of the batch. The
-// gate pre-activations x·Wxᵀ + hPrev·Whᵀ + b are written to gates; one pass
-// per row then activates them in place (σ for i, f, o and tanh for g) and
-// writes c = f⊙cPrev + i⊙g, h = o⊙tanh(c), and tanh(c) into tanhC unless it
-// is nil. Training passes its per-timestep BPTT caches as the destinations;
-// inference passes scratch and its running state, so c may alias cPrev and h
-// may alias hPrev: each c element reads only its own previous value, and
-// hPrev is fully consumed by the gate product before h is written.
+// gate pre-activations x·Wxᵀ + hPrev·Whᵀ + b are written to gates; one
+// mat.LSTMCellRow pass per row then activates them in place (σ for i, f, o
+// and tanh for g) and writes c = f⊙cPrev + i⊙g, h = o⊙tanh(c), and tanh(c)
+// into tanhC unless it is nil. Training passes its per-timestep BPTT caches
+// as the destinations; inference passes scratch and its running state, so c
+// may alias cPrev and h may alias hPrev: each c element reads only its own
+// previous value, and hPrev is fully consumed by the gate product before h
+// is written.
 func (ly *layerTensors) cellStep(x, hPrev, cPrev, gates, c, tanhC, h *mat.Matrix) {
 	mat.MatMulBT2BiasInto(x, &ly.Wx, hPrev, &ly.Wh, ly.B.Data, gates)
-	hh := c.Cols
 	for r := 0; r < gates.Rows; r++ {
-		gr := gates.Row(r)
-		ig, fg, og, gg := gr[:hh], gr[hh:2*hh], gr[2*hh:3*hh], gr[3*hh:4*hh]
-		cp, cr, hr := cPrev.Row(r)[:hh], c.Row(r)[:hh], h.Row(r)[:hh]
 		var tr []float64
 		if tanhC != nil {
-			tr = tanhC.Row(r)[:hh]
+			tr = tanhC.Row(r)
 		}
-		for k := range cr {
-			iv, fv, ov, gv := sigmoid(ig[k]), sigmoid(fg[k]), sigmoid(og[k]), math.Tanh(gg[k])
-			ig[k], fg[k], og[k], gg[k] = iv, fv, ov, gv
-			cv := fv*cp[k] + iv*gv
-			tc := math.Tanh(cv)
-			cr[k] = cv
-			hr[k] = ov * tc
-			if tr != nil {
-				tr[k] = tc
-			}
-		}
+		mat.LSTMCellRow(gates.Row(r), cPrev.Row(r), c.Row(r), h.Row(r), tr)
 	}
 }
-
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // forward runs the network over a batch of sequences. xs[t] is the (B × D)
 // input at timestep t. It returns the (B × OutputSize) predictions and the
@@ -202,13 +188,13 @@ func (m *LSTM) backwardWS(dPred *mat.Matrix, states []*layerState, ws *workspace
 				for k := range dzi {
 					iv, fv, ov, gv, tc := ig[k], fg[k], og[k], gg[k], tcr[k]
 					dh := dhExt[k] + dhc[k]
-					dc := dcc[k] + dh*ov*(1-tc*tc)
+					dc := dcc[k] + float64(dh*ov*(1-float64(tc*tc)))
 					dcc[k] = dc * fv
 					di, df, dO, dg := dc*gv, dc*cp[k], dh*tc, dc*iv
 					dzi[k] = di * iv * (1 - iv)
 					dzf[k] = df * fv * (1 - fv)
 					dzo[k] = dO * ov * (1 - ov)
-					dzg[k] = dg * (1 - gv*gv)
+					dzg[k] = dg * (1 - float64(gv*gv))
 				}
 			}
 

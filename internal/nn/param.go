@@ -100,8 +100,8 @@ func (a *adam) update(w, g []float64) {
 	c1 := 1 - math.Pow(a.beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.beta2, float64(a.step))
 	for i, gi := range g {
-		a.m[i] = a.beta1*a.m[i] + (1-a.beta1)*gi
-		a.v[i] = a.beta2*a.v[i] + (1-a.beta2)*gi*gi
+		a.m[i] = float64(a.beta1*a.m[i]) + float64((1-a.beta1)*gi)
+		a.v[i] = float64(a.beta2*a.v[i]) + float64((1-a.beta2)*gi*gi)
 		mHat := a.m[i] / c1
 		vHat := a.v[i] / c2
 		w[i] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
@@ -114,7 +114,7 @@ func (a *adam) update(w, g []float64) {
 func clipGradNorm(g []float64, maxNorm float64) float64 {
 	var sq float64
 	for _, v := range g {
-		sq += v * v
+		sq += float64(v * v)
 	}
 	norm := math.Sqrt(sq)
 	if norm > maxNorm && norm > 0 {

@@ -305,7 +305,7 @@ func (m *LSTM) Loss(inputs [][]float64, targets []float64) (float64, error) {
 	s := 0.0
 	for i, p := range preds {
 		d := p - targets[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(preds)), nil
 }

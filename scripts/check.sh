@@ -3,7 +3,9 @@
 #
 #   1. tier-1: build, vet, full test suite, -race on the concurrency-bearing
 #      packages (see ROADMAP.md); vet again for arm64, so the Go fallback of
-#      internal/mat's amd64 assembly kernels keeps compiling
+#      internal/mat's amd64 assembly kernels keeps compiling; and no fused
+#      multiply-add in arm64 builds of internal/mat and internal/nn, so the
+#      Go reference kernels round the same way on every architecture
 #   2. fuzz seed corpora in regression mode (committed seeds only, no
 #      fuzzing engine time)
 #   3. perfbench smoke tests: the benchmark harness is its own module
@@ -35,6 +37,9 @@ SERVE_COVER_FLOOR=80
 LOADGEN_COVER_FLOOR=80
 PROFILE_COVER_FLOOR=80
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== tier-1: build =="
 go build ./...
 
@@ -43,6 +48,26 @@ go vet ./...
 
 echo "== vet for arm64 (the non-amd64 kernel fallback) =="
 GOARCH=arm64 go vet ./...
+
+echo "== arm64: no fused multiply-add in internal/mat and internal/nn =="
+# Go may fuse x*y + z into one FMA on arm64 (and other non-amd64 ports),
+# rounding once where amd64 rounds twice, so the Go kernels would give other
+# bits there. These packages write such products as float64(x*y), which
+# forbids fusion; disassemble arm64 test binaries and fail on any fused op in
+# a function that is not a Test (the tests' ref* kernels are checked too).
+for pkg in mat nn; do
+    GOARCH=arm64 go test -c -o "$tmp/$pkg.arm64.test" "./internal/$pkg"
+    fused=$(go tool objdump "$tmp/$pkg.arm64.test" | awk -v p="loaddynamics/internal/$pkg." '
+        /^TEXT / { fn = $2; own = index(fn, p) == 1 && substr(fn, length(p) + 1, 4) != "Test" }
+        own && /[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]/ { n[fn]++ }
+        END { for (f in n) print n[f], f }')
+    if [ -n "$fused" ]; then
+        echo "FAIL: fused multiply-add in arm64 internal/$pkg (count, function):" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
+echo "ok: no fused multiply-add in arm64 internal/mat or internal/nn"
 
 echo "== tier-1: tests =="
 go test ./...
@@ -59,8 +84,6 @@ echo "== perfbench smoke tests =="
 echo "== paper: Fig. 10 regenerates byte for byte =="
 # report/ was written by serial searches: the default Parallel would make
 # the LoadDynamics rows depend on the host's core count.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/experiments -scale quick -only fig10 -serial -out "$tmp" >"$tmp/log" 2>&1 ||
     { cat "$tmp/log" >&2; exit 1; }
 if ! cmp "$tmp/fig10.txt" report/fig10.txt; then
