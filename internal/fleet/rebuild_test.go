@@ -401,3 +401,44 @@ func TestRebuildFailureDoesNotRetry(t *testing.T) {
 		t.Fatalf("checkpoint removed after a non-checkpoint failure: %v", err)
 	}
 }
+
+// TestRejectionRequeuesOnlyAfterFreshDrift pins what a rejected rebuild
+// does to drift: the verdict resets the rolling windows, so a workload
+// whose error stays just as bad is not re-queued on the next scored batch,
+// only once drift re-establishes over MinSamples fresh scores.
+func TestRejectionRequeuesOnlyAfterFreshDrift(t *testing.T) {
+	f, err := Open(testOptions(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worse := tinyModel(t, 2)
+	worse.ValError = 1e9 // loses to any incumbent
+	f.buildFn = func(ctx context.Context, cfg core.Config, train, validate []float64) (*core.Result, error) {
+		return stubResult(worse), nil
+	}
+	if err := f.Add("w", tinyModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	driftWorkload(t, f, "w")
+	if n := f.RunQueuedRebuilds(context.Background()); n != 1 {
+		t.Fatalf("ran %d rebuilds, want 1", n)
+	}
+	if got := f.opts.Metrics.Counter("fleet.rebuilds.rejected").Value(); got != 1 {
+		t.Fatalf("rebuilds.rejected = %d, want 1", got)
+	}
+	for i := 1; i <= f.opts.MinSamples; i++ {
+		f.RecordForecast("w", []float64{100})
+		st, err := f.Observe("w", []float64{1000}) // as far off as the batch that drifted
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Samples != i {
+			t.Fatalf("score %d: samples = %d, want %d (the rejection resets the window)", i, st.Samples, i)
+		}
+		fresh := i == f.opts.MinSamples
+		if st.Drift != fresh || st.RebuildQueued != fresh {
+			t.Fatalf("score %d of %d: drift=%v queued=%v, want both %v",
+				i, f.opts.MinSamples, st.Drift, st.RebuildQueued, fresh)
+		}
+	}
+}
