@@ -658,7 +658,7 @@ func TestRebuildBackoffAndBreaker(t *testing.T) {
 	if v := f.m.breakerOpen.Value(); v != 0 {
 		t.Fatalf("fleet.rebuild.breaker_open gauge = %d after close, want 0", v)
 	}
-	if v := f.m.rebuildOK.Value(); v != 1 {
+	if v := f.m.reg.Counter("fleet.rebuilds.ok").Value(); v != 1 {
 		t.Fatalf("fleet.rebuilds.ok = %d, want 1", v)
 	}
 }

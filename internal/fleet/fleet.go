@@ -263,14 +263,9 @@ type metrics struct {
 	loadFailures      *obs.Counter
 	evictions         *obs.Counter
 	promotions        *obs.Counter
-	rejected          *obs.Counter
 	drift             *obs.Counter
 	observations      *obs.Counter
-	rebuildOK         *obs.Counter
-	rebuildRejected   *obs.Counter
-	rebuildFailed     *obs.Counter
-	rebuildTimeout    *obs.Counter
-	rebuildCancelled  *obs.Counter
+	rebuilds          [verdictKinds]*obs.Counter // fleet.rebuilds.<verdict>, by verdictTable
 	rebuildDropped    *obs.Counter
 	rebuildDeferred   *obs.Counter
 	breakerOpened     *obs.Counter
@@ -297,7 +292,7 @@ type metrics struct {
 }
 
 func newMetrics(reg *obs.Registry) metrics {
-	return metrics{
+	m := metrics{
 		reg:               reg,
 		hits:              reg.Counter("fleet.hits"),
 		misses:            reg.Counter("fleet.misses"),
@@ -305,14 +300,8 @@ func newMetrics(reg *obs.Registry) metrics {
 		loadFailures:      reg.Counter("fleet.load_failures"),
 		evictions:         reg.Counter("fleet.evictions"),
 		promotions:        reg.Counter("fleet.promotions"),
-		rejected:          reg.Counter("fleet.promotions_rejected"),
 		drift:             reg.Counter("fleet.drift"),
 		observations:      reg.Counter("fleet.observations"),
-		rebuildOK:         reg.Counter("fleet.rebuilds.ok"),
-		rebuildRejected:   reg.Counter("fleet.rebuilds.rejected"),
-		rebuildFailed:     reg.Counter("fleet.rebuilds.failed"),
-		rebuildTimeout:    reg.Counter("fleet.rebuilds.timeout"),
-		rebuildCancelled:  reg.Counter("fleet.rebuilds.cancelled"),
 		rebuildDropped:    reg.Counter("fleet.rebuilds.dropped"),
 		rebuildDeferred:   reg.Counter("fleet.rebuilds.deferred"),
 		breakerOpened:     reg.Counter("fleet.rebuilds.breaker_opened"),
@@ -337,6 +326,10 @@ func newMetrics(reg *obs.Registry) metrics {
 		loadSeconds:       reg.Histogram("fleet.load_seconds"),
 		roundsToBest:      reg.Histogram("profile.rounds_to_best"),
 	}
+	for k, row := range verdictTable {
+		m.rebuilds[k] = reg.Counter(row.counter)
+	}
+	return m
 }
 
 // entry is one workload's registry slot. The model pointer is atomic so
@@ -377,9 +370,9 @@ type entry struct {
 	eval  evalState
 
 	rebuilding atomic.Bool
-	rebuilds   atomic.Int64
 	promotions atomic.Int64
-	rejections atomic.Int64
+	// verdicts counts the workload's rebuilds by verdict kind.
+	verdicts [verdictKinds]atomic.Int64
 
 	// Rebuild retry/backoff state. failStreak counts consecutive failed or
 	// timed-out rebuilds; nextAttempt (unix nanos) defers re-queueing until
@@ -734,10 +727,17 @@ func (f *Fleet) Promote(id string, m *core.Model) error {
 	if e == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownWorkload, id)
 	}
+	f.promote(e, m)
+	return nil
+}
+
+// promote is Promote past its checks. It cannot fail: a persist failure
+// is counted and logged, and the model is promoted in memory regardless.
+func (f *Fleet) promote(e *entry, m *core.Model) {
 	f.mu.Lock()
 	if f.opts.Dir != "" {
 		if e.file == "" {
-			e.file = snapshotFile(id)
+			e.file = snapshotFile(e.id)
 		}
 		if err := f.persistLocked(e, m); err != nil {
 			// The promotion still happens in memory — a better model should
@@ -745,7 +745,7 @@ func (f *Fleet) Promote(id string, m *core.Model) error {
 			// promotion.
 			f.m.persistFailures.Inc()
 			f.log.Warn("snapshot persist failed, promoting in memory only",
-				obs.LogWorkload, id, "error", err.Error())
+				obs.LogWorkload, e.id, "error", err.Error())
 		}
 	}
 	e.model.Store(m)
@@ -765,15 +765,14 @@ func (f *Fleet) Promote(id string, m *core.Model) error {
 	e.promotions.Add(1)
 	f.m.promotions.Inc()
 	if fn, ok := f.onPromote.Load().(func(id string)); ok && fn != nil {
-		fn(id)
+		fn(e.id)
 	}
 	// Enabled guard keeps Promote allocation-free when the handler drops
 	// Info — variadic slog args otherwise box and allocate before the
 	// handler is consulted (see BenchmarkPromotion).
 	if f.log.Enabled(context.Background(), slog.LevelInfo) {
-		f.log.Info("model promoted", obs.LogWorkload, id, "val_error", m.ValError)
+		f.log.Info("model promoted", obs.LogWorkload, e.id, "val_error", m.ValError)
 	}
-	return nil
 }
 
 // ReloadWorkload re-reads the workload's snapshot from disk and promotes
@@ -871,6 +870,10 @@ func (f *Fleet) status(e *entry) WorkloadStatus {
 	rmse := e.eval.rollingRMSE()
 	drift := e.eval.drift
 	e.shard.mu.Unlock()
+	var rebuilds int64
+	for k := range e.verdicts {
+		rebuilds += e.verdicts[k].Load()
+	}
 	return WorkloadStatus{
 		ID:                 e.id,
 		Resident:           e.model.Load() != nil,
@@ -880,9 +883,9 @@ func (f *Fleet) status(e *entry) WorkloadStatus {
 		RollingRMSE:        rmse,
 		Drift:              drift,
 		Rebuilding:         e.rebuilding.Load(),
-		Rebuilds:           e.rebuilds.Load(),
+		Rebuilds:           rebuilds,
 		Promotions:         e.promotions.Load(),
-		RejectedPromotions: e.rejections.Load(),
+		RejectedPromotions: e.verdicts[verdictRejected].Load(),
 	}
 }
 

@@ -61,7 +61,7 @@ func rebuildAndSettle(t *testing.T, f *Fleet, id string, wantOK int64) {
 	t.Helper()
 	driftWorkload(t, f, id)
 	waitFor(t, 10*time.Second, "rebuild of "+id, func() bool {
-		return f.m.rebuildOK.Value()+f.m.rebuildRejected.Value() >= wantOK
+		return f.m.reg.Counter("fleet.rebuilds.ok").Value()+f.m.reg.Counter("fleet.rebuilds.rejected").Value() >= wantOK
 	})
 	waitFor(t, 10*time.Second, "settle of "+id, func() bool {
 		e := f.get(id)

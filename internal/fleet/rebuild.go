@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -115,39 +117,6 @@ func (f *Fleet) enqueueRebuild(e *entry) bool {
 	}
 }
 
-// rebuildSettled records a completed rebuild (promoted or rejected — the
-// build pipeline worked either way): the failure streak and backoff clear,
-// and an open breaker closes.
-func (f *Fleet) rebuildSettled(e *entry) {
-	e.failStreak.Store(0)
-	e.nextAttempt.Store(0)
-	if e.breakerOpen.CompareAndSwap(true, false) {
-		f.m.breakerOpen.Add(-1)
-		f.log.Info("rebuild breaker closed", obs.LogWorkload, e.id)
-	}
-}
-
-// rebuildFaulted records a failed or timed-out rebuild: the next attempt
-// is deferred by an exponential backoff with jitter, and enough
-// consecutive faults open the workload's circuit breaker so a persistently
-// unbuildable workload stops burning the rebuild budget.
-func (f *Fleet) rebuildFaulted(e *entry) {
-	streak := e.failStreak.Add(1)
-	delay := backoffDelay(f.opts.RebuildBackoff, f.opts.RebuildBackoffMax, streak, e.id)
-	e.nextAttempt.Store(time.Now().Add(delay).UnixNano())
-	if int(streak) >= f.opts.RebuildBreakerFailures {
-		e.breakerUntil.Store(time.Now().Add(f.opts.RebuildBreakerCooldown).UnixNano())
-		if e.breakerOpen.CompareAndSwap(false, true) {
-			f.m.breakerOpened.Inc()
-			f.m.breakerOpen.Add(1)
-			f.log.Warn("rebuild breaker opened",
-				obs.LogWorkload, e.id,
-				"consecutive_failures", streak,
-				"cooldown", f.opts.RebuildBreakerCooldown.String())
-		}
-	}
-}
-
 // backoffDelay is base·2^(streak−1) capped at max, with ±20% jitter. The
 // jitter is deterministic — hashed from the workload and streak — so
 // retry schedules are reproducible in tests yet de-synchronized across a
@@ -165,95 +134,129 @@ func backoffDelay(base, max time.Duration, streak int64, id string) time.Duratio
 	}
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(streak) >> (8 * i))
-	}
-	h.Write(b[:])
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(streak)))
 	frac := float64(h.Sum64()%1001) / 1000 // 0..1
 	return time.Duration(float64(d) * (0.8 + 0.4*frac))
 }
 
+// verdictKind is how a rebuild ended: the index of its verdictTable row.
+type verdictKind uint8
+
+const (
+	verdictFailed    verdictKind = iota // short history, build error or no model
+	verdictTimeout                      // the rebuild budget fired
+	verdictCancelled                    // the fleet is shutting down
+	verdictPromoted                     // the candidate beat the incumbent
+	verdictRejected                     // the incumbent keeps serving
+	verdictKinds
+)
+
+// What a verdict does to the workload's failure streak, rebuild backoff
+// and circuit breaker.
+const (
+	backoffKeep  = iota // an interrupted build was not judged
+	backoffArm          // a fault
+	backoffClear        // the build pipeline worked
+)
+
+// verdictTable says what each verdict does besides the promotion protocol:
+// the fleet.rebuilds.* counter it bumps, its backoff effect, the outcome of
+// the fleet.rebuild span and of the terminal flight event, that event's
+// kind, and the log line's level, message and fields after the workload.
+var verdictTable = [verdictKinds]struct {
+	counter       string
+	backoff       int
+	outcome, kind string
+	level         slog.Level
+	msg           string
+	logKeys       []string
+}{
+	verdictFailed: {"fleet.rebuilds.failed", backoffArm, obs.OutcomeFailed, obs.FlightRebuildFailed,
+		slog.LevelError, "rebuild failed", []string{obs.LogDurationMS, "error"}},
+	verdictTimeout: {"fleet.rebuilds.timeout", backoffArm, obs.OutcomeTimeout, obs.FlightRebuildTimeout,
+		slog.LevelWarn, "rebuild timed out", []string{obs.LogDurationMS, "error"}},
+	verdictCancelled: {"fleet.rebuilds.cancelled", backoffKeep, obs.OutcomeCancelled, obs.FlightRebuildCancel,
+		slog.LevelInfo, "rebuild cancelled", []string{obs.LogDurationMS}},
+	verdictPromoted: {"fleet.rebuilds.ok", backoffClear, obs.OutcomeOK, obs.FlightRebuildPromoted,
+		slog.LevelInfo, "rebuild promoted", []string{obs.LogDurationMS, "val_error", "incumbent_val_error", "warmstart_priors", "rounds_to_best"}},
+	verdictRejected: {"fleet.rebuilds.rejected", backoffClear, "rejected", obs.FlightRebuildRejected,
+		slog.LevelInfo, "rebuild rejected: incumbent keeps serving", []string{obs.LogDurationMS, "val_error", "incumbent_val_error"}},
+}
+
+// verdict is one rebuild's outcome, judged by classify before settle
+// applies any of its effects.
+type verdict struct {
+	kind      verdictKind
+	err       error        // failed, timeout, cancelled
+	res       *core.Result // promoted, rejected: the finished build
+	incumbent float64      // promoted, rejected: the serving model's error on the build's split
+	built     bool         // a build ran (the history was long enough); elapsed, fp and ws are its
+	elapsed   time.Duration
+	fp        profile.Fingerprint
+	ws        profile.WarmStart
+	span      *obs.Span
+	trace     uint64 // the drift trace that queued the rebuild (0: none)
+	started   uint64 // the rebuild.started flight event
+}
+
 // rebuildOne re-runs the core.Build workflow for one workload on its
-// accumulated observation history, then promotes the result only if its
+// accumulated observation history, judges the result (classify) and
+// applies the verdict (settle): the new model is promoted only if its
 // cross-validation error improves on the incumbent's error over the same
 // split — otherwise the old model keeps serving and the rejection is
-// recorded. Outcomes land in the fleet.rebuild span and the
-// fleet.rebuilds.* counters.
+// recorded.
 func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 	e := f.get(id)
 	if e == nil {
 		return
 	}
 	defer e.rebuilding.Store(false)
-	defer e.rebuilds.Add(1)
 
 	// Consume the drift latch: the trace context of the observation batch
 	// whose drift verdict queued this rebuild. Swap(0) so a manual Rebuild
 	// or a later re-queue does not inherit a stale chain.
-	traceID := e.driftTrace.Swap(0)
+	v := verdict{trace: e.driftTrace.Swap(0)}
 	parentID := e.driftParent.Swap(0)
 
-	sp := f.opts.Trace.Start("fleet.rebuild").SetTrace(traceID)
-	sp.SetAttr("workload", id)
+	v.span = f.opts.Trace.Start("fleet.rebuild").SetTrace(v.trace).SetAttr("workload", id)
 
 	e.shard.mu.Lock()
 	hist := e.eval.historyCopy()
 	e.shard.mu.Unlock()
-	sp.SetAttr("history", len(hist))
+	v.span.SetAttr("history", len(hist))
 
-	// rebuild.started anchors the rebuild's flight events; everything the
-	// build produces (promotion, rejection, failure) parents on it. It is a
-	// sibling of rebuild.enqueued under the drift event — both parent on
-	// the latched drift/batch event, so the chain is connected regardless
-	// of whether the worker beat the enqueuer's event recording.
-	var startedID uint64
+	// rebuild.started anchors the rebuild's flight events; the verdict's
+	// event parents on it. It is a sibling of rebuild.enqueued under the
+	// drift event — both parent on the latched drift/batch event, so the
+	// chain is connected regardless of whether the worker beat the
+	// enqueuer's event recording.
 	if f.flight != nil {
-		startedID = f.flight.Record(obs.FlightEvent{
-			Trace:    obs.HexID(traceID),
-			Parent:   obs.HexID(parentID),
-			Workload: id,
-			Kind:     obs.FlightRebuildStarted,
-			Outcome:  obs.OutcomeOK,
-			Attrs:    map[string]any{"history": len(hist)},
-		})
+		v.started = f.flight.Record(obs.FlightEvent{Trace: obs.HexID(v.trace), Parent: obs.HexID(parentID),
+			Workload: id, Kind: obs.FlightRebuildStarted, Outcome: obs.OutcomeOK,
+			Attrs: map[string]any{"history": len(hist)}})
 	}
-	flightOutcome := func(kind, outcome string, attrs map[string]any) {
-		if f.flight == nil {
-			return
-		}
-		f.flight.Record(obs.FlightEvent{
-			Trace:    obs.HexID(traceID),
-			Parent:   obs.HexID(startedID),
-			Workload: id,
-			Kind:     kind,
-			Outcome:  outcome,
-			Attrs:    attrs,
-		})
-	}
-
 	f.log.Info("rebuild started", obs.LogWorkload, id, "history", len(hist))
+	f.classify(ctx, e, hist, &v)
+	f.settle(e, &v)
+}
+
+// classify runs the build over hist and judges it into v.
+func (f *Fleet) classify(ctx context.Context, e *entry, hist []float64, v *verdict) {
 	if len(hist) < f.opts.MinRebuildHistory {
-		f.m.rebuildFailed.Inc()
-		f.rebuildFaulted(e)
-		errText := fmt.Sprintf("history %d below rebuild minimum %d", len(hist), f.opts.MinRebuildHistory)
-		sp.SetAttr("error", errText)
-		sp.EndOutcome(obs.OutcomeFailed)
-		flightOutcome(obs.FlightRebuildFailed, obs.OutcomeFailed, map[string]any{"error": errText})
-		f.log.Error("rebuild failed", obs.LogWorkload, id, "error", errText)
+		v.kind = verdictFailed
+		v.err = fmt.Errorf("history %d below rebuild minimum %d", len(hist), f.opts.MinRebuildHistory)
 		return
 	}
 	split := (len(hist) * 3) / 4
 	train, validate := hist[:split], hist[split:]
 
-	cfg := f.rebuildConfig(id, hist)
-	cfg.TraceID = traceID
+	cfg := f.rebuildConfig(e.id, hist)
+	cfg.TraceID = v.trace
 	// Transfer learning: fingerprint the history the build will run over
 	// and seed the search with the nearest siblings' tuned hyperparameters.
-	fp := profile.Compute(hist)
-	priors, ws := f.transferPriors(id, fp)
-	cfg.PriorObservations = priors
-	sp.SetAttr("warmstart_priors", len(priors))
+	v.fp = profile.Compute(hist)
+	cfg.PriorObservations, v.ws = f.transferPriors(e.id, v.fp)
+	v.span.SetAttr("warmstart_priors", v.ws.Priors)
 	bctx := ctx
 	if f.opts.RebuildBudget > 0 {
 		var cancel context.CancelFunc
@@ -270,110 +273,110 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 		os.Remove(cfg.CheckpointPath)
 		res, err = f.buildFn(bctx, cfg, train, validate)
 	}
-	f.m.rebuildSeconds.ObserveExemplar(time.Since(start).Seconds(), traceID)
+	v.built, v.elapsed = true, time.Since(start)
+	f.m.rebuildSeconds.ObserveExemplar(v.elapsed.Seconds(), v.trace)
 
-	elapsed := time.Since(start)
 	switch {
-	case err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 		// The rebuild budget fired (the fleet itself is not shutting down).
 		// With a checkpoint the completed candidates are already on disk.
-		f.m.rebuildTimeout.Inc()
-		f.rebuildFaulted(e)
-		sp.SetAttr("error", err.Error())
-		sp.EndOutcome(obs.OutcomeTimeout)
-		flightOutcome(obs.FlightRebuildTimeout, obs.OutcomeTimeout,
-			map[string]any{"error": err.Error(), "duration_ms": durationMS(elapsed)})
-		f.log.Warn("rebuild timed out", obs.LogWorkload, id,
-			obs.LogDurationMS, durationMS(elapsed), "error", err.Error())
+		v.kind, v.err = verdictTimeout, err
 	case err != nil && ctx.Err() != nil:
-		f.m.rebuildCancelled.Inc()
-		sp.SetAttr("error", err.Error())
-		sp.EndOutcome(obs.OutcomeCancelled)
-		flightOutcome(obs.FlightRebuildCancel, obs.OutcomeCancelled,
-			map[string]any{"error": err.Error(), "duration_ms": durationMS(elapsed)})
-		f.log.Info("rebuild cancelled", obs.LogWorkload, id,
-			obs.LogDurationMS, durationMS(elapsed))
+		v.kind, v.err = verdictCancelled, err
 	case err != nil:
-		f.m.rebuildFailed.Inc()
-		f.rebuildFaulted(e)
-		sp.SetAttr("error", err.Error())
-		sp.EndOutcome(obs.OutcomeFailed)
-		flightOutcome(obs.FlightRebuildFailed, obs.OutcomeFailed,
-			map[string]any{"error": err.Error(), "duration_ms": durationMS(elapsed)})
-		f.log.Error("rebuild failed", obs.LogWorkload, id,
-			obs.LogDurationMS, durationMS(elapsed), "error", err.Error())
+		v.kind, v.err = verdictFailed, err
 	case res == nil || res.Best == nil:
-		f.m.rebuildFailed.Inc()
-		f.rebuildFaulted(e)
-		sp.SetAttr("error", "build returned no model")
-		sp.EndOutcome(obs.OutcomeFailed)
-		flightOutcome(obs.FlightRebuildFailed, obs.OutcomeFailed,
-			map[string]any{"error": "build returned no model", "duration_ms": durationMS(elapsed)})
-		f.log.Error("rebuild failed", obs.LogWorkload, id,
-			obs.LogDurationMS, durationMS(elapsed), "error", "build returned no model")
+		v.kind, v.err = verdictFailed, errors.New("build returned no model")
 	default:
 		if cfg.CheckpointPath != "" {
 			os.Remove(cfg.CheckpointPath) // consumed: the build completed
 		}
-		model := res.Best
-		incumbent := f.incumbentError(e, train, validate)
-		sp.SetAttr("val_error", model.ValError)
-		sp.SetAttr("incumbent_val_error", incumbent)
-		sp.SetAttr("rounds_to_best", res.RoundsToBest())
-		if model.ValError < incumbent {
-			if err := f.Promote(id, model); err != nil {
-				f.m.rebuildFailed.Inc()
-				f.rebuildFaulted(e)
-				sp.SetAttr("error", err.Error())
-				sp.EndOutcome(obs.OutcomeFailed)
-				flightOutcome(obs.FlightRebuildFailed, obs.OutcomeFailed,
-					map[string]any{"error": err.Error(), "duration_ms": durationMS(elapsed)})
-				f.log.Error("rebuild failed", obs.LogWorkload, id,
-					obs.LogDurationMS, durationMS(elapsed), "error", err.Error())
-				return
-			}
-			f.recordOutcome(e, fp, res, ws)
-			f.resetEval(e)
-			f.rebuildSettled(e)
-			f.m.rebuildOK.Inc()
-			sp.EndOutcome(obs.OutcomeOK)
-			flightOutcome(obs.FlightRebuildPromoted, obs.OutcomeOK, map[string]any{
-				"val_error":           model.ValError,
-				"incumbent_val_error": incumbent,
-				"rounds_to_best":      res.RoundsToBest(),
-				"warmstart_priors":    len(priors),
-				"warmstart_neighbors": ws.Neighbors,
-				"duration_ms":         durationMS(elapsed),
-			})
-			f.log.Info("rebuild promoted", obs.LogWorkload, id,
-				obs.LogDurationMS, durationMS(elapsed),
-				"val_error", model.ValError, "incumbent_val_error", incumbent,
-				"warmstart_priors", len(priors), "rounds_to_best", res.RoundsToBest())
-		} else {
-			// The incumbent stays: a retrained model that is no better than
-			// what is serving must not churn the fleet. The search outcome is
-			// still recorded — a rejected build says just as much about where
-			// good hyperparameters live as a promoted one.
-			f.recordOutcome(e, fp, res, ws)
-			e.rejections.Add(1)
-			f.m.rejected.Inc()
-			f.m.rebuildRejected.Inc()
-			f.resetEval(e)
-			f.rebuildSettled(e)
-			sp.EndOutcome("rejected")
-			flightOutcome(obs.FlightRebuildRejected, "rejected", map[string]any{
-				"val_error":           model.ValError,
-				"incumbent_val_error": incumbent,
-				"rounds_to_best":      res.RoundsToBest(),
-				"warmstart_priors":    len(priors),
-				"warmstart_neighbors": ws.Neighbors,
-				"duration_ms":         durationMS(elapsed),
-			})
-			f.log.Info("rebuild rejected: incumbent keeps serving", obs.LogWorkload, id,
-				obs.LogDurationMS, durationMS(elapsed),
-				"val_error", model.ValError, "incumbent_val_error", incumbent)
+		v.res, v.incumbent = res, f.incumbentError(e, train, validate)
+		v.span.SetAttr("val_error", res.Best.ValError).SetAttr("incumbent_val_error", v.incumbent).
+			SetAttr("rounds_to_best", res.RoundsToBest())
+		v.kind = verdictRejected
+		if res.Best.ValError < v.incumbent {
+			v.kind = verdictPromoted
 		}
 	}
+}
+
+// settle applies a verdict: a finished build's promotion protocol
+// (commitVerdict), then everything its verdictTable row says.
+func (f *Fleet) settle(e *entry, v *verdict) {
+	row := &verdictTable[v.kind]
+	if v.res != nil {
+		f.commitVerdict(e, v)
+	}
+	switch row.backoff {
+	case backoffArm:
+		// The next attempt waits out an exponential backoff with jitter, and
+		// enough consecutive faults open the workload's circuit breaker so a
+		// persistently unbuildable workload stops burning the rebuild budget.
+		streak := e.failStreak.Add(1)
+		delay := backoffDelay(f.opts.RebuildBackoff, f.opts.RebuildBackoffMax, streak, e.id)
+		e.nextAttempt.Store(time.Now().Add(delay).UnixNano())
+		if int(streak) >= f.opts.RebuildBreakerFailures {
+			e.breakerUntil.Store(time.Now().Add(f.opts.RebuildBreakerCooldown).UnixNano())
+			if e.breakerOpen.CompareAndSwap(false, true) {
+				f.m.breakerOpened.Inc()
+				f.m.breakerOpen.Add(1)
+				f.log.Warn("rebuild breaker opened", obs.LogWorkload, e.id,
+					"consecutive_failures", streak, "cooldown", f.opts.RebuildBreakerCooldown.String())
+			}
+		}
+	case backoffClear:
+		e.failStreak.Store(0)
+		e.nextAttempt.Store(0)
+		if e.breakerOpen.CompareAndSwap(true, false) {
+			f.m.breakerOpen.Add(-1)
+			f.log.Info("rebuild breaker closed", obs.LogWorkload, e.id)
+		}
+	}
+	f.m.rebuilds[v.kind].Inc()
+	e.verdicts[v.kind].Add(1)
+
+	// The flight event's attributes are also the pool the log line draws
+	// its fields from.
+	attrs := map[string]any{}
+	if v.err != nil {
+		attrs["error"] = v.err.Error()
+		v.span.SetAttr("error", v.err.Error())
+	} else {
+		attrs["val_error"] = v.res.Best.ValError
+		attrs["incumbent_val_error"] = v.incumbent
+		attrs["rounds_to_best"] = v.res.RoundsToBest()
+		attrs["warmstart_priors"] = v.ws.Priors
+		attrs["warmstart_neighbors"] = v.ws.Neighbors
+	}
+	if v.built {
+		attrs[obs.LogDurationMS] = float64(v.elapsed) / float64(time.Millisecond)
+	}
+	v.span.EndOutcome(row.outcome)
+	if f.flight != nil {
+		f.flight.Record(obs.FlightEvent{Trace: obs.HexID(v.trace), Parent: obs.HexID(v.started),
+			Workload: e.id, Kind: row.kind, Outcome: row.outcome, Attrs: attrs})
+	}
+	args := []any{obs.LogWorkload, e.id}
+	for _, k := range row.logKeys {
+		if x, ok := attrs[k]; ok {
+			args = append(args, k, x)
+		}
+	}
+	f.log.Log(context.Background(), row.level, row.msg, args...)
+}
+
+// commitVerdict is the promotion protocol, a finished build's writes in
+// order: a promoted candidate's snapshot and manifest (and its swap into
+// service), the build's outcome in priors.json, then the WAL reset record
+// that clears the workload's rolling windows. A rejected build writes the
+// last two — its search still says where good hyperparameters live.
+func (f *Fleet) commitVerdict(e *entry, v *verdict) {
+	if v.kind == verdictPromoted {
+		f.promote(e, v.res.Best)
+	}
+	f.recordOutcome(e, v.fp, v.res, v.ws)
+	f.resetEval(e)
 }
 
 // incumbentError scores the serving model on the rebuild's own split, the
@@ -392,11 +395,6 @@ func (f *Fleet) incumbentError(e *entry, train, validate []float64) float64 {
 		}
 	}
 	return e.valError()
-}
-
-// durationMS renders a duration in the log schema's duration_ms unit.
-func durationMS(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
 }
 
 // resetEval clears the workload's rolling windows after a rebuild verdict
@@ -430,12 +428,7 @@ func (f *Fleet) rebuildConfig(id string, hist []float64) core.Config {
 func rebuildSeed(base int64, hist []float64) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(u >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	put := func(u uint64) { binary.LittleEndian.PutUint64(buf[:], u); h.Write(buf[:]) }
 	put(uint64(base))
 	put(uint64(len(hist)))
 	for _, v := range hist {

@@ -156,9 +156,6 @@ func TestRebuildRejectedWhenNoImprovement(t *testing.T) {
 	if m, _ := f.Model("w"); m != old {
 		t.Fatal("rejected rebuild replaced the serving model")
 	}
-	if reg.Counter("fleet.promotions_rejected").Value() != 1 {
-		t.Fatal("rejected promotion not counted")
-	}
 	if reg.Counter("fleet.promotions").Value() != 0 {
 		t.Fatal("promotion counted despite rejection")
 	}

@@ -12,7 +12,9 @@
 #      (perfbench/go.mod) compiled against this checkout, so an API change
 #      that breaks it shows up here, not only in a benchmark run
 #   4. the paper's Fig. 10 regenerates byte for byte: quick scale, serial
-#      searches, compared with report/fig10.txt
+#      searches, compared with report/fig10.txt; and so does the Section V
+#      example's output (examples/adaptive, compared with
+#      report/adaptive.txt), which runs the rebuild verdict path end to end
 #   5. every benchmark under internal/ runs once, so a benchmark that fails
 #      at run time (say, after an API change it calls) breaks CI and not
 #      the next benchmarking session
@@ -92,6 +94,20 @@ if ! cmp "$tmp/fig10.txt" report/fig10.txt; then
     exit 1
 fi
 echo "ok: fig10.txt matches report/fig10.txt"
+
+echo "== Section V: examples/adaptive output regenerates byte for byte =="
+# The example drives the fleet's drift -> rebuild -> verdict loop end to end:
+# six BO rebuilds, four rejected and two promoted, ~2 s. Like Fig. 10, its
+# bits depend on the host's math.Exp/math.Tanh and FMA (ROADMAP item 9), so
+# a host that computes different bits fails here for that reason alone.
+go run ./examples/adaptive >"$tmp/adaptive.txt" 2>"$tmp/log" ||
+    { cat "$tmp/log" >&2; exit 1; }
+if ! cmp "$tmp/adaptive.txt" report/adaptive.txt; then
+    echo "FAIL: examples/adaptive output differs from report/adaptive.txt" >&2
+    diff "$tmp/adaptive.txt" report/adaptive.txt >&2 || true
+    exit 1
+fi
+echo "ok: examples/adaptive output matches report/adaptive.txt"
 
 echo "== benchmarks, one iteration each =="
 go test -run '^$' -bench . -benchtime 1x ./internal/...
