@@ -265,7 +265,7 @@ type metrics struct {
 	promotions        *obs.Counter
 	drift             *obs.Counter
 	observations      *obs.Counter
-	rebuilds          [verdictKinds]*obs.Counter // fleet.rebuilds.<verdict>, by verdictTable
+	rebuilds          [len(verdictTable)]*obs.Counter // fleet.rebuilds.<verdict>, by verdict kind
 	rebuildDropped    *obs.Counter
 	rebuildDeferred   *obs.Counter
 	breakerOpened     *obs.Counter
@@ -370,9 +370,9 @@ type entry struct {
 	eval  evalState
 
 	rebuilding atomic.Bool
+	rebuilds   atomic.Int64
 	promotions atomic.Int64
-	// verdicts counts the workload's rebuilds by verdict kind.
-	verdicts [verdictKinds]atomic.Int64
+	rejections atomic.Int64
 
 	// Rebuild retry/backoff state. failStreak counts consecutive failed or
 	// timed-out rebuilds; nextAttempt (unix nanos) defers re-queueing until
@@ -870,10 +870,6 @@ func (f *Fleet) status(e *entry) WorkloadStatus {
 	rmse := e.eval.rollingRMSE()
 	drift := e.eval.drift
 	e.shard.mu.Unlock()
-	var rebuilds int64
-	for k := range e.verdicts {
-		rebuilds += e.verdicts[k].Load()
-	}
 	return WorkloadStatus{
 		ID:                 e.id,
 		Resident:           e.model.Load() != nil,
@@ -883,9 +879,9 @@ func (f *Fleet) status(e *entry) WorkloadStatus {
 		RollingRMSE:        rmse,
 		Drift:              drift,
 		Rebuilding:         e.rebuilding.Load(),
-		Rebuilds:           rebuilds,
+		Rebuilds:           e.rebuilds.Load(),
 		Promotions:         e.promotions.Load(),
-		RejectedPromotions: e.verdicts[verdictRejected].Load(),
+		RejectedPromotions: e.rejections.Load(),
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"loaddynamics/internal/bo"
 	"loaddynamics/internal/core"
-	"loaddynamics/internal/obs"
 	"loaddynamics/internal/profile"
 )
 
@@ -128,13 +127,6 @@ func (f *Fleet) RecordBuildOutcome(id string, window []float64, res *core.Result
 		version = e.version.Load()
 	}
 	return f.record(id, profile.Compute(window), res, ws, version)
-}
-
-// recordOutcome lands one completed rebuild in the prior store.
-func (f *Fleet) recordOutcome(e *entry, fp profile.Fingerprint, res *core.Result, ws profile.WarmStart) {
-	if err := f.record(e.id, fp, res, ws, e.version.Load()); err != nil {
-		f.log.Warn("prior store rejected build outcome", obs.LogWorkload, e.id, "error", err.Error())
-	}
 }
 
 // record stores one completed build's outcome: the fingerprint the build

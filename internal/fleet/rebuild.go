@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -134,7 +133,11 @@ func backoffDelay(base, max time.Duration, streak int64, id string) time.Duratio
 	}
 	h := fnv.New64a()
 	h.Write([]byte(id))
-	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(streak)))
+	var b [8]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(uint64(streak) >> (8 * i))
+	}
+	h.Write(b[:])
 	frac := float64(h.Sum64()%1001) / 1000 // 0..1
 	return time.Duration(float64(d) * (0.8 + 0.4*frac))
 }
@@ -148,7 +151,6 @@ const (
 	verdictCancelled                    // the fleet is shutting down
 	verdictPromoted                     // the candidate beat the incumbent
 	verdictRejected                     // the incumbent keeps serving
-	verdictKinds
 )
 
 // What a verdict does to the workload's failure streak, rebuild backoff
@@ -163,7 +165,7 @@ const (
 // the fleet.rebuilds.* counter it bumps, its backoff effect, the outcome of
 // the fleet.rebuild span and of the terminal flight event, that event's
 // kind, and the log line's level, message and fields after the workload.
-var verdictTable = [verdictKinds]struct {
+var verdictTable = [...]struct {
 	counter       string
 	backoff       int
 	outcome, kind string
@@ -200,17 +202,15 @@ type verdict struct {
 }
 
 // rebuildOne re-runs the core.Build workflow for one workload on its
-// accumulated observation history, judges the result (classify) and
-// applies the verdict (settle): the new model is promoted only if its
-// cross-validation error improves on the incumbent's error over the same
-// split — otherwise the old model keeps serving and the rejection is
-// recorded.
+// accumulated observation history: classify judges the build into a
+// verdict, and settle applies it.
 func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 	e := f.get(id)
 	if e == nil {
 		return
 	}
 	defer e.rebuilding.Store(false)
+	defer e.rebuilds.Add(1)
 
 	// Consume the drift latch: the trace context of the observation batch
 	// whose drift verdict queued this rebuild. Swap(0) so a manual Rebuild
@@ -218,7 +218,8 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 	v := verdict{trace: e.driftTrace.Swap(0)}
 	parentID := e.driftParent.Swap(0)
 
-	v.span = f.opts.Trace.Start("fleet.rebuild").SetTrace(v.trace).SetAttr("workload", id)
+	v.span = f.opts.Trace.Start("fleet.rebuild").SetTrace(v.trace)
+	v.span.SetAttr("workload", id)
 
 	e.shard.mu.Lock()
 	hist := e.eval.historyCopy()
@@ -231,20 +232,26 @@ func (f *Fleet) rebuildOne(ctx context.Context, id string) {
 	// chain is connected regardless of whether the worker beat the
 	// enqueuer's event recording.
 	if f.flight != nil {
-		v.started = f.flight.Record(obs.FlightEvent{Trace: obs.HexID(v.trace), Parent: obs.HexID(parentID),
-			Workload: id, Kind: obs.FlightRebuildStarted, Outcome: obs.OutcomeOK,
-			Attrs: map[string]any{"history": len(hist)}})
+		v.started = f.flight.Record(obs.FlightEvent{
+			Trace:    obs.HexID(v.trace),
+			Parent:   obs.HexID(parentID),
+			Workload: id,
+			Kind:     obs.FlightRebuildStarted,
+			Outcome:  obs.OutcomeOK,
+			Attrs:    map[string]any{"history": len(hist)},
+		})
 	}
 	f.log.Info("rebuild started", obs.LogWorkload, id, "history", len(hist))
 	f.classify(ctx, e, hist, &v)
 	f.settle(e, &v)
 }
 
-// classify runs the build over hist and judges it into v.
+// classify runs the build over hist and judges it into v. The new model is
+// promoted only if its cross-validation error improves on the incumbent's
+// error over the same split; otherwise the old model keeps serving.
 func (f *Fleet) classify(ctx context.Context, e *entry, hist []float64, v *verdict) {
 	if len(hist) < f.opts.MinRebuildHistory {
-		v.kind = verdictFailed
-		v.err = fmt.Errorf("history %d below rebuild minimum %d", len(hist), f.opts.MinRebuildHistory)
+		v.kind, v.err = verdictFailed, fmt.Errorf("history %d below rebuild minimum %d", len(hist), f.opts.MinRebuildHistory)
 		return
 	}
 	split := (len(hist) * 3) / 4
@@ -292,8 +299,9 @@ func (f *Fleet) classify(ctx context.Context, e *entry, hist []float64, v *verdi
 			os.Remove(cfg.CheckpointPath) // consumed: the build completed
 		}
 		v.res, v.incumbent = res, f.incumbentError(e, train, validate)
-		v.span.SetAttr("val_error", res.Best.ValError).SetAttr("incumbent_val_error", v.incumbent).
-			SetAttr("rounds_to_best", res.RoundsToBest())
+		v.span.SetAttr("val_error", res.Best.ValError)
+		v.span.SetAttr("incumbent_val_error", v.incumbent)
+		v.span.SetAttr("rounds_to_best", res.RoundsToBest())
 		v.kind = verdictRejected
 		if res.Best.ValError < v.incumbent {
 			v.kind = verdictPromoted
@@ -321,8 +329,10 @@ func (f *Fleet) settle(e *entry, v *verdict) {
 			if e.breakerOpen.CompareAndSwap(false, true) {
 				f.m.breakerOpened.Inc()
 				f.m.breakerOpen.Add(1)
-				f.log.Warn("rebuild breaker opened", obs.LogWorkload, e.id,
-					"consecutive_failures", streak, "cooldown", f.opts.RebuildBreakerCooldown.String())
+				f.log.Warn("rebuild breaker opened",
+					obs.LogWorkload, e.id,
+					"consecutive_failures", streak,
+					"cooldown", f.opts.RebuildBreakerCooldown.String())
 			}
 		}
 	case backoffClear:
@@ -334,20 +344,16 @@ func (f *Fleet) settle(e *entry, v *verdict) {
 		}
 	}
 	f.m.rebuilds[v.kind].Inc()
-	e.verdicts[v.kind].Add(1)
 
 	// The flight event's attributes are also the pool the log line draws
 	// its fields from.
-	attrs := map[string]any{}
+	var attrs map[string]any
 	if v.err != nil {
-		attrs["error"] = v.err.Error()
+		attrs = map[string]any{"error": v.err.Error()}
 		v.span.SetAttr("error", v.err.Error())
 	} else {
-		attrs["val_error"] = v.res.Best.ValError
-		attrs["incumbent_val_error"] = v.incumbent
-		attrs["rounds_to_best"] = v.res.RoundsToBest()
-		attrs["warmstart_priors"] = v.ws.Priors
-		attrs["warmstart_neighbors"] = v.ws.Neighbors
+		attrs = map[string]any{"val_error": v.res.Best.ValError, "incumbent_val_error": v.incumbent,
+			"rounds_to_best": v.res.RoundsToBest(), "warmstart_priors": v.ws.Priors, "warmstart_neighbors": v.ws.Neighbors}
 	}
 	if v.built {
 		attrs[obs.LogDurationMS] = float64(v.elapsed) / float64(time.Millisecond)
@@ -374,8 +380,12 @@ func (f *Fleet) settle(e *entry, v *verdict) {
 func (f *Fleet) commitVerdict(e *entry, v *verdict) {
 	if v.kind == verdictPromoted {
 		f.promote(e, v.res.Best)
+	} else {
+		e.rejections.Add(1)
 	}
-	f.recordOutcome(e, v.fp, v.res, v.ws)
+	if err := f.record(e.id, v.fp, v.res, v.ws, e.version.Load()); err != nil {
+		f.log.Warn("prior store rejected build outcome", obs.LogWorkload, e.id, "error", err.Error())
+	}
 	f.resetEval(e)
 }
 
@@ -428,7 +438,12 @@ func (f *Fleet) rebuildConfig(id string, hist []float64) core.Config {
 func rebuildSeed(base int64, hist []float64) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(u uint64) { binary.LittleEndian.PutUint64(buf[:], u); h.Write(buf[:]) }
+	put := func(u uint64) {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(u >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
 	put(uint64(base))
 	put(uint64(len(hist)))
 	for _, v := range hist {
