@@ -192,7 +192,7 @@ type verdict struct {
 	err       error        // failed, timeout, cancelled
 	res       *core.Result // promoted, rejected: the finished build
 	incumbent float64      // promoted, rejected: the serving model's error on the build's split
-	built     bool         // a build ran (the history was long enough); elapsed, fp and ws are its
+	built     bool         // a build ran (the history was long enough); elapsed, fp and ws describe it
 	elapsed   time.Duration
 	fp        profile.Fingerprint
 	ws        profile.WarmStart
